@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .coding import McsTable, per
+from .channel import exp_mass
+from .coding import McsTable, per, per_pdf_mass, snr_margin_delta
 
 
 class RegionKind(Enum):
@@ -166,30 +166,15 @@ def amc_thresholds_per_target(table: McsTable, p_loss: float, arq_rounds: int = 
     p_t = p_loss ** (1.0 / arq_rounds)
     optimal = amc_thresholds_exact(table).thresholds
     gammas = [0.0]
+    margin = snr_margin_delta(p_t, table.a_tilde)  # 1 for step decoding
     for l in range(2, table.num_rates + 1):
-        if math.isinf(table.a_tilde):
-            g = table.threshold(l)
-        else:
-            # invert exp(-a (g/th - 1)) = p_t
-            g = table.threshold(l) * (1.0 + math.log(1.0 / p_t) / table.a_tilde)
-        gammas.append(max(g, optimal[l - 1]))
+        gammas.append(max(table.threshold(l) * margin, optimal[l - 1]))
     return DecisionRegions(RegionKind.THRESHOLDS, thresholds=tuple(gammas))
 
 
-def _quad_interval(f, a, b, singular_points, avg_snr, epsabs=1e-9):
-    """Adaptive quadrature on [a, b] (b may be inf) with interior kinks."""
-    if math.isinf(b):
-        cut = max(a * 2.0, 50.0 * avg_snr, *(p * 2.0 for p in singular_points), avg_snr)
-        head = _quad_interval(f, a, cut, singular_points, avg_snr, epsabs)
-        tail, _ = quad(f, cut, np.inf, epsabs=epsabs)
-        return head + tail
-    pts = sorted(p for p in singular_points if a < p < b)
-    total, _ = quad(f, a, b, points=pts or None, epsabs=epsabs, limit=200)
-    return total
-
-
 def amc_throughput(regions: DecisionRegions, table: McsTable, avg_snr: float) -> ThroughputEstimate:
-    """Expected AMC throughput sum_l R_l (1 - f_1l) p_l over the SNR law.
+    """Expected AMC throughput sum_l R_l (1 - f_1l) p_l over the SNR law,
+    in closed form: sum_l R_l (P(region l) - integral of pdf * PER_l over it).
 
     Identical for slow and fast fading (errors are block-memoryless).
     """
@@ -197,12 +182,7 @@ def amc_throughput(regions: DecisionRegions, table: McsTable, avg_snr: float) ->
         raise ValueError("avg_snr must be positive")
     total = 0.0
     for l in range(1, table.num_rates + 1):
-        rl = table.rate(l)
-        th = table.threshold(l)
-
-        def integrand(x, l=l, rl=rl):
-            return rl * (1.0 - per(l, x, table)) * math.exp(-x / avg_snr) / avg_snr
-
         for a, b in regions.intervals_for(l):
-            total += _quad_interval(integrand, a, b, [th], avg_snr)
+            total += table.rate(l) * (exp_mass(a, b, avg_snr)
+                                      - per_pdf_mass(l, a, b, table, avg_snr))
     return ThroughputEstimate(value=total)

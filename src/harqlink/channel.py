@@ -6,6 +6,7 @@ boundaries (see :mod:`harqlink.cli`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +53,13 @@ def snr_pdf(gamma, avg_snr: float):
         raise ValueError("avg_snr must be positive")
     out = np.exp(-gamma / avg_snr) / avg_snr
     return out if out.ndim else float(out)
+
+
+def exp_mass(a: float, b: float, avg_snr: float) -> float:
+    """P(a <= SNR < b) for exponential SNR; b may be inf."""
+    lo = math.exp(-a / avg_snr)
+    hi = 0.0 if math.isinf(b) else math.exp(-b / avg_snr)
+    return lo - hi
 
 
 def make_stream(seed: int, stream_id: int) -> np.random.Generator:

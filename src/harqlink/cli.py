@@ -54,6 +54,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.snr_db_step <= 0:
             raise ValueError("snr step must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -297,13 +299,20 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output CSV path ('-' for stdout)")
 
 
+def _bind_snr_db(argv: list[str]) -> list[str]:
+    """Attach the token after --snr-db to the flag: argparse would read a
+    negative start such as -5:1:30 as an option."""
+    tokens = iter(argv)
+    return [f"--snr-db={next(tokens, '')}" if tok == "--snr-db" else tok for tok in tokens]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="harqlink")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("sweep", help="throughput sweep to CSV"))
     _add_common(sub.add_parser("thresholds", help="decision-region dump to CSV"))
     sub.add_parser("verify", help="run quick self-checks")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_snr_db(sys.argv[1:] if argv is None else argv))
 
     if args.command == "verify":
         return _verify()

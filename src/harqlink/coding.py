@@ -1,4 +1,6 @@
-"""Packet-error model, decoding thresholds, and HARQ combining functions."""
+"""Packet-error model, decoding thresholds, HARQ combining functions, and
+closed-form averages of the PER over the exponential SNR law.  The only
+place that evaluates the PER, log2(1 + gamma) and its inverse."""
 
 from __future__ import annotations
 
@@ -7,6 +9,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.special import gammainc, gammaincc
+
+from .channel import exp_mass
 
 
 class CombiningType(Enum):
@@ -59,40 +64,99 @@ class McsTable:
             raise IndexError(f"MCS index {l} out of range 1..{len(self.rates)}")
 
 
+_LN2 = math.log(2.0)
+
+
 def mutual_information(gamma):
-    """Gaussian-input mutual information log2(1 + gamma), bits/symbol."""
+    """Gaussian-input mutual information log2(1 + gamma), bits/symbol.
+
+    Evaluated as log1p(gamma) / ln 2, accurate down to the smallest SNRs.
+    A Python float takes a scalar path; arrays are handled elementwise.
+    """
+    if isinstance(gamma, (int, float)):
+        if gamma < 0:
+            raise ValueError("SNR must be nonnegative")
+        return math.log1p(gamma) / _LN2
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
+    if (gamma < 0).any():
         raise ValueError("SNR must be nonnegative")
-    out = np.log2(1.0 + gamma)
+    out = np.log1p(gamma) / _LN2
     return out if out.ndim else float(out)
 
 
 def mutual_information_inv(bits):
-    """Inverse of mutual_information: 2**bits - 1."""
+    """Inverse of mutual_information: 2**bits - 1 as expm1(bits ln 2).
+
+    Overflows to inf.  A Python float takes a scalar path.
+    """
+    if isinstance(bits, (int, float)):
+        try:
+            return math.expm1(bits * _LN2)
+        except OverflowError:
+            return math.inf
     bits = np.asarray(bits, dtype=float)
-    out = np.exp2(bits) - 1.0
+    with np.errstate(over="ignore"):
+        out = np.expm1(bits * _LN2)
+    return out if out.ndim else float(out)
+
+
+def per_at(gamma, threshold, a_tilde: float):
+    """Packet error rate at SNR gamma >= 0 for a decoding threshold.
+
+    1 below the threshold, exp(-a_tilde (gamma/threshold - 1)) above it; a
+    step function for a_tilde = inf.  gamma and threshold broadcast against
+    each other (e.g. a column of per-row thresholds); Python floats take a
+    scalar path.
+    """
+    if isinstance(gamma, (int, float)) and isinstance(threshold, (int, float)):
+        if gamma < 0:
+            raise ValueError("SNR must be nonnegative")
+        if gamma < threshold:
+            return 1.0
+        return 0.0 if math.isinf(a_tilde) else math.exp(-a_tilde * (gamma / threshold - 1.0))
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma < 0).any():
+        raise ValueError("SNR must be nonnegative")
+    if math.isinf(a_tilde):
+        out = np.where(gamma < threshold, 1.0, 0.0)
+    else:
+        out = np.exp(-a_tilde * np.maximum(gamma / threshold - 1.0, 0.0))
     return out if out.ndim else float(out)
 
 
 def per(l: int, gamma, table: McsTable):
-    """Packet error rate of MCS l at (aggregate) SNR gamma.
-
-    1 below the decoding threshold, exponential decay above it; a step
-    function for a_tilde = inf.  Vectorized over gamma.
-    """
+    """Packet error rate of MCS l at (aggregate) SNR gamma; vectorized over gamma."""
     table._check_index(l)
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
-        raise ValueError("SNR must be nonnegative")
-    th = table.thresholds[l - 1]
+    return per_at(gamma, table.thresholds[l - 1], table.a_tilde)
+
+
+def per_pdf_mass(l: int, a: float, b: float, table: McsTable, avg_snr: float) -> float:
+    """Closed-form integral of pdf(x) * PER_l(x) over [a, b) for exponential SNR."""
+    th = table.threshold(l)
+    total = 0.0
+    lo, hi = a, min(b, th)
+    if hi > lo:
+        total += exp_mass(lo, hi, avg_snr)
+    lo = max(a, th)
+    if b > lo and not math.isinf(table.a_tilde):
+        c = 1.0 / avg_snr + table.a_tilde / th
+        width = 1.0 if math.isinf(b) else 1.0 - math.exp(-(b - lo) * c)
+        total += math.exp(table.a_tilde - lo * c) * width / (avg_snr * c)
+    return total
+
+
+def per_erlang_mean(l: int, x, extra_rounds: int, table: McsTable, avg_snr: float):
+    """E[PER_l(x + U)], U ~ Erlang(extra_rounds, avg_snr); vectorized in x."""
+    x = np.asarray(x, dtype=float)
+    th = table.threshold(l)
+    m = extra_rounds
+    c = np.maximum(0.0, th - x)
+    below = gammainc(m, c / avg_snr)
     if math.isinf(table.a_tilde):
-        out = np.where(gamma < th, 1.0, 0.0)
-    else:
-        with np.errstate(over="ignore"):
-            decay = np.exp(-table.a_tilde * (gamma / th - 1.0))
-        out = np.where(gamma < th, 1.0, decay)
-    return out if out.ndim else float(out)
+        return below
+    beta = table.a_tilde / th + 1.0 / avg_snr
+    tail = np.exp(table.a_tilde * (1.0 - x / th)) * gammaincc(m, beta * c) / (avg_snr * beta) ** m
+    return below + tail
 
 
 def snr_margin_delta(epsilon: float, a_tilde: float) -> float:
@@ -102,21 +166,6 @@ def snr_margin_delta(epsilon: float, a_tilde: float) -> float:
     if not a_tilde > 0:
         raise ValueError("a_tilde must be positive")
     return math.log(1.0 / epsilon) / a_tilde + 1.0
-
-
-def combining_h(gamma, combining: CombiningType):
-    """Per-round accumulation function: identity for RR, MI for IR."""
-    if combining is CombiningType.RR:
-        gamma = np.asarray(gamma, dtype=float)
-        return gamma if gamma.ndim else float(gamma)
-    return mutual_information(gamma)
-
-
-def combining_h_inv(x, combining: CombiningType):
-    if combining is CombiningType.RR:
-        x = np.asarray(x, dtype=float)
-        return x if x.ndim else float(x)
-    return mutual_information_inv(x)
 
 
 def aggregate_snr(snrs, combining: CombiningType) -> float:
@@ -130,7 +179,9 @@ def aggregate_snr(snrs, combining: CombiningType) -> float:
         raise ValueError("need at least one SNR")
     if np.any(snrs < 0):
         raise ValueError("SNRs must be nonnegative")
-    return float(combining_h_inv(np.sum(combining_h(snrs, combining)), combining))
+    if combining is CombiningType.RR:
+        return float(np.sum(snrs))
+    return float(mutual_information_inv(np.sum(mutual_information(snrs))))
 
 
 def aggregate_snr_vl(first_len: float, entries, combining: CombiningType = CombiningType.IR) -> float:

@@ -10,17 +10,20 @@ information density on a uniform MI grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.signal import fftconvolve
-from scipy.special import gammainc, gammaincc
 
-from .amc import DecisionRegions, ThroughputEstimate, _quad_interval
-from .coding import CombiningType, McsTable, mutual_information, per
+from .amc import DecisionRegions, ThroughputEstimate
+from .channel import exp_mass
+from .coding import (CombiningType, McsTable, mutual_information,
+                     mutual_information_inv, per, per_at, per_erlang_mean,
+                     per_pdf_mass)
 
 
 class HarqVariant(Enum):
@@ -80,36 +83,23 @@ class ErrorCascade:
 
 
 # ---------------------------------------------------------------------------
-# closed-form masses under the exponential SNR law
-# ---------------------------------------------------------------------------
-
-def exp_mass(a: float, b: float, avg_snr: float) -> float:
-    """P(a <= SNR < b) for exponential SNR."""
-    lo = math.exp(-a / avg_snr)
-    hi = 0.0 if math.isinf(b) else math.exp(-b / avg_snr)
-    return lo - hi
-
-
-def per_pdf_mass(l: int, a: float, b: float, table: McsTable, avg_snr: float) -> float:
-    """Closed-form integral of pdf(x) * PER_l(x) over [a, b)."""
-    th = table.threshold(l)
-    total = 0.0
-    lo, hi = a, min(b, th)
-    if hi > lo:
-        total += exp_mass(lo, hi, avg_snr)
-    lo = max(a, th)
-    if b > lo and not math.isinf(table.a_tilde):
-        c = 1.0 / avg_snr + table.a_tilde / th
-        width = 0.0 if math.isinf(b) else 1.0 - math.exp(-(b - lo) * c)
-        if math.isinf(b):
-            width = 1.0
-        total += math.exp(table.a_tilde - lo * c) * width / (avg_snr * c)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # slow fading
 # ---------------------------------------------------------------------------
+
+def slow_cascades(gamma, K: int, combining: CombiningType, table: McsTable) -> np.ndarray:
+    """f_{k,l}(gamma) = PER_l(h^{-1}(k h(gamma))) for every rate l and k = 1..K.
+
+    Vectorized over gamma (nonnegative); shape gamma.shape + (L, K).
+    """
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
+    ks = np.arange(1, K + 1)
+    if combining is CombiningType.RR:
+        agg = ks * gamma
+    else:
+        agg = mutual_information_inv(ks * mutual_information(gamma))
+    th = np.asarray(table.thresholds)[:, None]
+    return per_at(agg, th, table.a_tilde)
+
 
 def slow_cascade(l: int, gamma: float, K: int, combining: CombiningType,
                  table: McsTable) -> ErrorCascade:
@@ -118,14 +108,8 @@ def slow_cascade(l: int, gamma: float, K: int, combining: CombiningType,
         raise ValueError("SNR must be nonnegative")
     if K < 1:
         raise ValueError("K must be >= 1")
-    ks = np.arange(1, K + 1)
-    if combining is CombiningType.RR:
-        agg = ks * gamma
-    else:
-        with np.errstate(over="ignore"):
-            agg = np.exp2(ks * math.log2(1.0 + gamma)) - 1.0
-    vals = per(l, agg, table)
-    return ErrorCascade((1.0,) + tuple(np.atleast_1d(vals)))
+    table._check_index(l)
+    return ErrorCascade((1.0,) + tuple(slow_cascades(gamma, K, combining, table)[l - 1]))
 
 
 def throughput_from_cascade(rate: float, fs) -> float:
@@ -150,23 +134,35 @@ def _slow_kinks(l: int, K: int, combining: CombiningType, table: McsTable) -> li
     th = table.threshold(l)
     if combining is CombiningType.RR:
         return [th / k for k in range(1, K + 1)]
-    return [(1.0 + th) ** (1.0 / k) - 1.0 for k in range(1, K + 1)]
+    return [mutual_information_inv(table.rate(l) / k) for k in range(1, K + 1)]
 
 
 def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
                     table: McsTable, avg_snr: float) -> ThroughputEstimate:
-    """Region-averaged slow-fading throughput; supports interval unions."""
+    """Region-averaged slow-fading throughput; supports interval unions.
+
+    With u = exp(-x / avg_snr) the exponential SNR law becomes uniform, so
+    each interval [a, b) maps to the finite range (exp(-b/avg), exp(-a/avg)]
+    and the integrand is the bounded per-SNR throughput at x(u).  The
+    cascade kinks map to u as well and are passed to the quadrature.
+    """
     if not avg_snr > 0:
         raise ValueError("avg_snr must be positive")
     total = 0.0
     for l in range(1, table.num_rates + 1):
-        kinks = _slow_kinks(l, K, combining, table)
+        u_kinks = [math.exp(-x / avg_snr) for x in _slow_kinks(l, K, combining, table)]
 
-        def integrand(x, l=l):
-            return slow_throughput_at(l, x, K, combining, table) * math.exp(-x / avg_snr) / avg_snr
+        def integrand(u, l=l):
+            x = -avg_snr * math.log(u) if u > 0.0 else math.inf
+            return slow_throughput_at(l, x, K, combining, table)
 
         for a, b in regions.intervals_for(l):
-            total += _quad_interval(integrand, a, b, kinks, avg_snr)
+            u_lo = 0.0 if math.isinf(b) else math.exp(-b / avg_snr)
+            u_hi = math.exp(-a / avg_snr)
+            pts = [u for u in u_kinks if u_lo < u < u_hi]
+            part, _ = quad(integrand, u_lo, u_hi, points=pts or None,
+                           epsabs=1e-12, epsrel=1e-11, limit=200)
+            total += part
     return ThroughputEstimate(value=total)
 
 
@@ -174,45 +170,23 @@ def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
 # fast fading
 # ---------------------------------------------------------------------------
 
-_PS_CACHE: dict = {}
-
-
 def _mi_grid(avg_snr: float, n: int, span: float) -> tuple[np.ndarray, float]:
-    vmax = math.log2(1.0 + span * avg_snr)
-    dv = vmax / n
+    dv = mutual_information(span * avg_snr) / n
     return np.arange(n) * dv, dv
 
 
+@functools.lru_cache(maxsize=64)
 def _mi_sum_density(avg_snr: float, extra_rounds: int, n: int, span: float) -> tuple[np.ndarray, float]:
     """Density of the sum of `extra_rounds` i.i.d. per-round MI values on a
-    uniform grid; built by FFT self-convolution and cached."""
-    key = (avg_snr, extra_rounds, n, span)
-    if key in _PS_CACHE:
-        return _PS_CACHE[key]
+    uniform grid; built by FFT self-convolution.  Cached, so read-only."""
     v, dv = _mi_grid(avg_snr, n, span)
-    ln2 = math.log(2.0)
-    p_v = ln2 * np.exp2(v) * np.exp(-(np.exp2(v) - 1.0) / avg_snr) / avg_snr
+    x = mutual_information_inv(v)
+    p_v = math.log(2.0) * (1.0 + x) * np.exp(-x / avg_snr) / avg_snr
     p_s = p_v
     for _ in range(extra_rounds - 1):
         p_s = fftconvolve(p_s, p_v)[:n] * dv
-    if len(_PS_CACHE) > 64:
-        _PS_CACHE.clear()
-    _PS_CACHE[key] = (p_s, dv)
+    p_s.flags.writeable = False
     return p_s, dv
-
-
-def _rr_cascade_closed_form(l: int, x, extra_rounds: int, table: McsTable, avg_snr: float):
-    """E[PER_l(x + U)], U ~ Erlang(extra_rounds, avg_snr); vectorized in x."""
-    x = np.asarray(x, dtype=float)
-    th = table.threshold(l)
-    m = extra_rounds
-    c = np.maximum(0.0, th - x)
-    below = gammainc(m, c / avg_snr)
-    if math.isinf(table.a_tilde):
-        return below
-    beta = table.a_tilde / th + 1.0 / avg_snr
-    tail = np.exp(table.a_tilde * (1.0 - x / th)) * gammaincc(m, beta * c) / (avg_snr * beta) ** m
-    return below + tail
 
 
 def fast_cascade_conditional(l: int, x: float, k: int, combining: CombiningType,
@@ -227,11 +201,10 @@ def fast_cascade_conditional(l: int, x: float, k: int, combining: CombiningType,
     if k == 1:
         return float(per(l, x, table))
     if combining is CombiningType.RR:
-        return float(_rr_cascade_closed_form(l, x, k - 1, table, avg_snr))
+        return float(per_erlang_mean(l, x, k - 1, table, avg_snr))
     p_s, dv = _mi_sum_density(avg_snr, k - 1, n_grid, span)
     s = np.arange(n_grid) * dv
-    with np.errstate(over="ignore"):
-        agg = np.exp2(mutual_information(x) + s) - 1.0
+    agg = mutual_information_inv(mutual_information(x) + s)
     return float(np.trapezoid(per(l, agg, table) * p_s, dx=dv))
 
 
@@ -259,7 +232,7 @@ class FastFadingTables:
         self.span = span
 
         v, dv = _mi_grid(avg_snr, n_grid, span)
-        self.x = np.exp2(v) - 1.0
+        self.x = mutual_information_inv(v)
         L = table.num_rates
         # f_point[k][l] -> array over self.x; k = 1..K (1-based dicts)
         self.f_point = {1: {l: per(l, self.x, table) for l in range(1, L + 1)}}
@@ -267,12 +240,10 @@ class FastFadingTables:
             self.f_point[k] = {}
             if combining is CombiningType.RR:
                 for l in range(1, L + 1):
-                    self.f_point[k][l] = _rr_cascade_closed_form(l, self.x, k - 1, table, avg_snr)
+                    self.f_point[k][l] = per_erlang_mean(l, self.x, k - 1, table, avg_snr)
             else:
                 p_s, _ = _mi_sum_density(avg_snr, k - 1, n_grid, span)
-                v_ext = np.arange(2 * n_grid) * dv
-                with np.errstate(over="ignore"):
-                    x_ext = np.exp2(v_ext) - 1.0
+                x_ext = mutual_information_inv(np.arange(2 * n_grid) * dv)
                 for l in range(1, L + 1):
                     g = per(l, x_ext, table)
                     corr = fftconvolve(g, p_s[::-1], mode="valid")[:n_grid] * dv
@@ -349,7 +320,9 @@ def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
 def two_round_bound(regions: DecisionRegions, table: McsTable, avg_snr: float) -> float:
     """Throughput of the hypothetical protocol whose second round always
     succeeds: sum_l R_l p_l / (1 + avg first-round error probability).
-    Upper-bounds every HARQ throughput on the same regions."""
+    Upper-bounds plain HARQ (RR or IR, any round budget) on the same
+    regions; packet-dropping HARQ, which restarts cycles early, can exceed
+    it."""
     num = 0.0
     f1_bar = 0.0
     for l in range(1, table.num_rates + 1):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amc import DecisionRegions, RegionKind, ThroughputEstimate
-from .coding import CombiningType, McsTable, per
-from .harq_analysis import FastFadingTables, exp_mass
+from .channel import exp_mass
+from .coding import CombiningType, McsTable
+from .harq_analysis import FastFadingTables, slow_cascades
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,18 +51,9 @@ class FastOptimizeResult:
 def _slow_eta_grid(grid: np.ndarray, K: int, combining: CombiningType,
                    table: McsTable) -> np.ndarray:
     """eta_{K,l}(gamma) for every rate over the grid; shape (L, n)."""
-    L = table.num_rates
-    out = np.empty((L, grid.size))
-    for l in range(1, L + 1):
-        if combining is CombiningType.RR:
-            agg = np.outer(np.arange(1, K + 1), grid)
-        else:
-            with np.errstate(over="ignore"):
-                agg = np.exp2(np.outer(np.arange(1, K + 1), np.log2(1.0 + grid))) - 1.0
-        f = per(l, agg, table)
-        denom = 1.0 + f[:K - 1].sum(axis=0) if K > 1 else np.ones(grid.size)
-        out[l - 1] = table.rate(l) * (1.0 - f[K - 1]) / denom
-    return out
+    f = slow_cascades(grid, K, combining, table)  # (n, L, K)
+    eta = np.asarray(table.rates) * (1.0 - f[..., K - 1]) / (1.0 + f[..., :K - 1].sum(axis=-1))
+    return eta.T
 
 
 def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable,

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amc import DecisionRegions
+from .amc import DecisionRegions, classify
 from .channel import ChannelConfig, FadingMode, draw_exponential, make_stream
-from .coding import CombiningType, McsTable, mutual_information, mutual_information_inv, per
-from .harq_analysis import HarqConfig, HarqVariant
+from .coding import (CombiningType, McsTable, mutual_information,
+                     mutual_information_inv, per, per_at)
+from .harq_analysis import HarqConfig, HarqVariant, slow_cascades
 
 _N_BATCHES = 50
 
@@ -58,25 +59,6 @@ def _batch_ci(rewards: np.ndarray, durations: np.ndarray) -> float:
     return 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
 
 
-def _classifier(regions: DecisionRegions):
-    edges, labels = regions.piecewise()
-
-    def classify_many(g):
-        return labels[np.searchsorted(edges, g, side="right") - 1]
-
-    return classify_many
-
-
-def _per_rows(agg: np.ndarray, l_idx: np.ndarray, table: McsTable) -> np.ndarray:
-    """PER of each row's first-round MCS at its per-round aggregate SNRs."""
-    th = np.asarray(table.thresholds)[l_idx][:, None]
-    if math.isinf(table.a_tilde):
-        return np.where(agg < th, 1.0, 0.0)
-    with np.errstate(over="ignore"):
-        decay = np.exp(-table.a_tilde * (agg / th - 1.0))
-    return np.where(agg < th, 1.0, decay)
-
-
 _SLOW_CYCLES_PER_DRAW = 512
 
 
@@ -87,7 +69,6 @@ def _simulate_slow_ratio(regions: DecisionRegions, K: int, combining: CombiningT
     long-run throughput is the fading average of per-SNR cycle ratios.  Each
     drawn SNR is held for a run of cycles; the run ratios are averaged."""
     gen = make_stream(channel.seed, stream_id)
-    classify_many = _classifier(regions)
     rates = np.asarray(table.rates)
     m = _SLOW_CYCLES_PER_DRAW
 
@@ -97,13 +78,8 @@ def _simulate_slow_ratio(regions: DecisionRegions, K: int, combining: CombiningT
     while total_rounds < blocks:
         n = 256
         g = draw_exponential(gen, channel.avg_snr, n)
-        l_hat = classify_many(g)
-        if combining is CombiningType.RR:
-            agg = g[:, None] * np.arange(1, K + 1)
-        else:
-            with np.errstate(over="ignore"):
-                agg = (1.0 + g[:, None]) ** np.arange(1, K + 1) - 1.0
-        f = _per_rows(agg, l_hat - 1, table)
+        l_hat = classify(g, regions)
+        f = slow_cascades(g, K, combining, table)[np.arange(n), l_hat - 1]
         v = gen.random((n, m))
         n_fail = (v[:, :, None] < f[:, None, :]).sum(axis=2)
         success = n_fail < K
@@ -136,8 +112,8 @@ def simulate_plain(regions: DecisionRegions, harq: HarqConfig, table: McsTable,
         return _simulate_slow_ratio(regions, K, harq.combining, table, channel,
                                     blocks, stream_id)
     gen = make_stream(channel.seed, stream_id)
-    classify_many = _classifier(regions)
     rates = np.asarray(table.rates)
+    thresholds = np.asarray(table.thresholds)
 
     rewards, durations = [], []
     total_rounds = 0
@@ -145,13 +121,12 @@ def simulate_plain(regions: DecisionRegions, harq: HarqConfig, table: McsTable,
     while total_rounds < blocks:
         n = min(1 << 18, max(1024, blocks - total_rounds))
         snr_rows = draw_exponential(gen, channel.avg_snr, (n, K))
-        l_hat = classify_many(snr_rows[:, 0])
+        l_hat = classify(snr_rows[:, 0], regions)
         if harq.combining is CombiningType.RR:
             agg = np.cumsum(snr_rows, axis=1)
         else:
-            with np.errstate(over="ignore"):
-                agg = np.exp2(np.cumsum(np.log2(1.0 + snr_rows), axis=1)) - 1.0
-        f = _per_rows(agg, l_hat - 1, table)
+            agg = mutual_information_inv(np.cumsum(mutual_information(snr_rows), axis=1))
+        f = per_at(agg, thresholds[l_hat - 1][:, None], table.a_tilde)
         v = gen.random(n)
         n_fail = (v[:, None] < f).sum(axis=1)  # nested events: prefix of failures
         success = n_fail < K
@@ -190,23 +165,20 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
         return _simulate_slow_ratio(regions, K, harq.combining, table, channel,
                                     blocks, stream_id)
     gen = make_stream(channel.seed, stream_id)
-    classify_many = _classifier(regions)
     rr = harq.combining is CombiningType.RR
-    a_tilde = table.a_tilde
     thresholds = table.thresholds
     rates = table.rates
 
     gammas = draw_exponential(gen, channel.avg_snr, blocks)
-    l_hats = classify_many(gammas)
+    l_hats = classify(gammas, regions)
+    # per-block fresh-packet PERs and accumulation terms h(gamma), made
+    # before the uniforms are drawn to keep the peak memory down
+    p_fresh = per_at(gammas, np.asarray(thresholds)[l_hats - 1], table.a_tilde)
+    h = gammas if rr else mutual_information(gammas)
+    del gammas
     u = gen.random(blocks)
-
-    def per_scalar(l, g):
-        th = thresholds[l - 1]
-        if g < th:
-            return 1.0
-        if math.isinf(a_tilde):
-            return 0.0
-        return math.exp(-a_tilde * (g / th - 1.0))
+    # memoryviews index as Python scalars: fast scalar math, no list copies
+    l_hats, p_fresh, h, u = (memoryview(a) for a in (l_hats, p_fresh, h, u))
 
     reward = 0.0
     acked = 0
@@ -221,8 +193,7 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
     prev_per = 1.0
 
     for i in range(blocks):
-        g = float(gammas[i])
-        lh = int(l_hats[i])
+        lh = l_hats[i]
 
         if active and lh > l1:
             drops += 1
@@ -230,8 +201,8 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
 
         if not active:
             l1 = lh
-            hsum = g if rr else math.log2(1.0 + g)
-            p = per_scalar(l1, g)
+            hsum = h[i]
+            p = p_fresh[i]
             k = 1
             if u[i] >= p:
                 reward += rates[l1 - 1]
@@ -244,9 +215,9 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
 
         # continuation round
         k += 1
-        hsum += g if rr else math.log2(1.0 + g)
-        agg = hsum if rr else (2.0 ** hsum - 1.0)
-        p_new = per_scalar(l1, agg)
+        hsum += h[i]
+        agg = hsum if rr else mutual_information_inv(hsum)
+        p_new = per_at(agg, thresholds[l1 - 1], table.a_tilde)
         cond = p_new / prev_per if prev_per > 0.0 else 0.0
         if u[i] < cond:
             if k >= K:
@@ -330,18 +301,22 @@ class _VlContext:
         return sorted(out)
 
 
+def _vl_aggregate(snr_sigma: float, length: float, first_len: float, gamma: float) -> float:
+    """Aggregate SNR after folding a round of `length` at SNR gamma into
+    snr_sigma: MI^{-1}(MI(sigma) + (length / first_len) MI(gamma))."""
+    return mutual_information_inv(
+        mutual_information(snr_sigma) + (length / first_len) * mutual_information(gamma))
+
+
 def _vl_failure_prob(pkt: PacketState, length: float, gamma: float,
                      table: McsTable, l: int) -> float:
     """Conditional failure probability f(h) if pkt is sent with `length`."""
     if pkt.harq_count == 0:
-        snr_prime = gamma  # first transmission: aggregate is the block SNR
-        return float(per(l, snr_prime, table))
-    snr_prime = mutual_information_inv(
-        mutual_information(pkt.snr_sigma) + (length / pkt.first_len) * mutual_information(gamma))
-    p_now = float(per(l, pkt.snr_sigma, table))
+        return per(l, gamma, table)  # first transmission: aggregate is the block SNR
+    p_now = per(l, pkt.snr_sigma, table)
     if p_now <= 0.0:
         return 0.0
-    return float(per(l, snr_prime, table)) / p_now
+    return per(l, _vl_aggregate(pkt.snr_sigma, length, pkt.first_len, gamma), table) / p_now
 
 
 def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
@@ -458,8 +433,7 @@ def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
             acked += 1
             continue
         first_len = pkt.first_len if pkt.harq_count > 0 else length
-        snr_prime = mutual_information_inv(
-            mutual_information(pkt.snr_sigma) + (length / first_len) * mutual_information(gamma))
+        snr_prime = _vl_aggregate(pkt.snr_sigma, length, first_len, gamma)
         if pkt.harq_count < harq.max_rounds - 1:
             new_buffer.append(PacketState(harq_count=pkt.harq_count + 1,
                                           first_len=first_len,

@@ -90,6 +90,15 @@ def test_cli_sweep_writes_file(tmp_path, monkeypatch, capsys):
     assert text.endswith("\n")
 
 
+def test_cli_snr_db_negative_start_as_separate_token(tmp_path, monkeypatch):
+    # the README form: argparse must not read -5:5:5 as an option
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--snr-db", "-5:5:5", "--schemes", "amc", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [-5.0, 0.0, 5.0]
+
+
 def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HARQLINK_WORKERS", "1")
     cfg = tmp_path / "run.cfg"
@@ -108,6 +117,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "nope"]) == 2
     missing = tmp_path / "nope.cfg"
     assert main(["sweep", "--config", str(missing)]) == 2
+    assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "amc", "--seed", "-1"]) == 2
 
 
 def test_cli_unwritable_output_exit_code(tmp_path):

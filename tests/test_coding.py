@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harqlink.coding import (CombiningType, McsTable, aggregate_snr,
-                             aggregate_snr_vl, combining_h, combining_h_inv,
-                             mutual_information, mutual_information_inv,
-                             nack_probability, per, snr_margin_delta)
+                             aggregate_snr_vl, mutual_information,
+                             mutual_information_inv, nack_probability, per,
+                             snr_margin_delta)
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 STEP_TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=math.inf)
@@ -89,6 +89,7 @@ def test_aggregate_snr_ir_no_overflow_at_high_snr():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e5), min_size=2, max_size=6))
+@example([1e-8, 1e-8])
 def test_ir_aggregate_dominates_rr(snrs):
     ir = aggregate_snr(snrs, CombiningType.IR)
     rr = aggregate_snr(snrs, CombiningType.RR)
@@ -102,12 +103,6 @@ def test_ir_aggregate_dominates_rr(snrs):
        st.sampled_from([CombiningType.RR, CombiningType.IR]))
 def test_single_round_aggregate_is_identity(g, combining):
     assert aggregate_snr([g], combining) == pytest.approx(g, rel=1e-9, abs=1e-12)
-
-
-def test_combining_h_inverse_pair():
-    for combining in (CombiningType.RR, CombiningType.IR):
-        for x in (0.0, 0.7, 12.0):
-            assert combining_h_inv(combining_h(x, combining), combining) == pytest.approx(x, rel=1e-10, abs=1e-12)
 
 
 def test_nack_probability_uses_aggregate_not_product():

@@ -5,14 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from harqlink.amc import amc_throughput, amc_thresholds_exact
-from harqlink.channel import make_stream
-from harqlink.coding import CombiningType, McsTable, per
+from harqlink.channel import exp_mass, make_stream
+from harqlink.coding import CombiningType, McsTable, per, per_pdf_mass
 from harqlink.harq_analysis import (ErrorCascade, FastFadingTables, HarqConfig,
-                                    HarqVariant, exp_mass,
-                                    fast_cascade_conditional,
+                                    HarqVariant, fast_cascade_conditional,
                                     fast_region_quantities, fast_throughput,
-                                    per_pdf_mass, slow_cascade,
-                                    slow_throughput, slow_throughput_at,
+                                    slow_cascade, slow_throughput,
+                                    slow_throughput_at,
                                     throughput_from_cascade, two_round_bound)
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
@@ -154,6 +153,22 @@ def test_slow_throughput_reference_and_reductions():
             a = slow_throughput(regions, 4, combining, TABLE, avg).value
             b = slow_throughput(regions, 1, combining, TABLE, avg).value
             assert a >= b - 1e-9
+
+
+def test_region_integrals_match_closed_form_near_27_25_db():
+    # near 27.25 dB an adaptive quadrature of the top region's [a, inf)
+    # tail can miss 4.3e-3 of the mass; both paths must equal the closed
+    # form sum_l R_l (P_l - E[PER_l; l])
+    regions = amc_thresholds_exact(TABLE)
+    avg = 10.0 ** 2.7252
+    t = list(regions.thresholds) + [math.inf]
+    want = sum(TABLE.rate(l) * (exp_mass(t[l - 1], t[l], avg)
+                                - per_pdf_mass(l, t[l - 1], t[l], TABLE, avg))
+               for l in range(1, 6))
+    assert amc_throughput(regions, TABLE, avg).value == pytest.approx(want, abs=1e-10)
+    for combining in (CombiningType.RR, CombiningType.IR):
+        got = slow_throughput(regions, 1, combining, TABLE, avg).value
+        assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_fast_cascade_k1_and_monotone():
