@@ -78,17 +78,3 @@ def draw_exponential(gen: np.random.Generator, avg_snr: float, size=None):
     u = gen.random(size)
     return -avg_snr * np.log1p(-u)
 
-
-def sample_cycle_snrs(cfg: ChannelConfig, rounds: int, stream_id: int = 0) -> np.ndarray:
-    """SNRs seen by one HARQ cycle of `rounds` transmission rounds.
-
-    Fast fading: i.i.d. exponential draws.  Slow fading: a single draw
-    repeated for every round.  Deterministic given (cfg.seed, stream_id).
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    gen = make_stream(cfg.seed, stream_id)
-    if cfg.fading_mode is FadingMode.SLOW:
-        g = draw_exponential(gen, cfg.avg_snr)
-        return np.full(rounds, g)
-    return draw_exponential(gen, cfg.avg_snr, rounds)

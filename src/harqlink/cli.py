@@ -12,16 +12,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import amc as amc_mod
 from .amc import DecisionRegions, RegionKind
 from .channel import ChannelConfig, FadingMode, db_to_linear, linear_to_db
 from .coding import CombiningType, McsTable
-from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
-                            fast_throughput, slow_throughput, two_round_bound)
+from .harq_analysis import (HarqConfig, HarqVariant, fast_throughput,
+                            slow_throughput, two_round_bound)
 from .optimizer import fast_optimize_regions, slow_optimal_regions
 from .simulator import simulate_packet_drop, simulate_vl
 
@@ -81,13 +79,14 @@ def _combining_for(scheme: str) -> CombiningType | None:
 
 def _regions_for(spec: SweepSpec, table: McsTable, combining: CombiningType | None,
                  avg_snr: float) -> DecisionRegions:
-    if spec.region_source == "amc-exact" or combining is None:
-        return amc_mod.amc_thresholds_exact(table)
     if spec.region_source == "amc-closed-form":
         return amc_mod.amc_thresholds_closed_form(table)
     if spec.region_source == "per-target":
         return amc_mod.amc_thresholds_per_target(table, spec.per_target_ploss,
                                                  spec.per_target_rounds)
+    # optimized regions need a combining type; schemes without one use amc-exact
+    if spec.region_source == "amc-exact" or combining is None:
+        return amc_mod.amc_thresholds_exact(table)
     if spec.fading == "slow":
         return slow_optimal_regions(spec.K, combining, table)
     return fast_optimize_regions(spec.K, combining, table, avg_snr, seed=spec.seed).regions
@@ -115,8 +114,7 @@ def _sweep_point(spec: SweepSpec, scheme: str, snr_db: float, point_idx: int) ->
         else:
             row["throughput"] = fast_throughput(regions, spec.K, combining, table, avg).value
     elif scheme == "harq-2r-bound":
-        comb = CombiningType.IR if spec.region_source == "optimized" else None
-        regions = _regions_for(spec, table, comb, avg)
+        regions = _regions_for(spec, table, CombiningType.IR, avg)
         row["throughput"] = two_round_bound(regions, table, avg)
     elif scheme == "pd-harq":
         comb = CombiningType.IR  # combining used for aggregation in the sim
@@ -216,7 +214,7 @@ def _verify() -> int:
                    all(abs(p - (1 - (l - 1) / l)) < 0.01 for p, l in zip(pers, range(2, 6)))))
     checks.append(("IR aggregate beats RR",
                    aggregate_snr([1, 1], CombiningType.IR) > aggregate_snr([1, 1], CombiningType.RR)))
-    eta = [slow_throughput_at(3, 2.0, k, CombiningType.IR, table) for k in range(1, 7)]
+    eta = [slow_throughput_at(2.0, k, CombiningType.IR, table)[2] for k in range(1, 7)]
     checks.append(("slow throughput non-decreasing in K",
                    all(b >= a - 1e-12 for a, b in zip(eta, eta[1:]))))
     th = amc_mod.amc_throughput(regions, table, 10.0).value
@@ -286,7 +284,13 @@ def _write(lines: list[str], output: str):
 def _add_common(p):
     p.add_argument("--snr-db", help="start:step:stop in dB", default=None)
     p.add_argument("--schemes", default=None, help=f"comma list of {','.join(SCHEMES)}")
-    p.add_argument("--regions", default=None, choices=REGION_SOURCES)
+    p.add_argument("--regions", default=None, choices=REGION_SOURCES,
+                   help="decision regions (default amc-exact); every scheme but vl-harq, "
+                        "which needs none, uses amc-closed-form and per-target as given; "
+                        "with optimized, harq-rr and harq-ir use regions optimized for "
+                        "their combining, harq-2r-bound the IR-optimized regions, and amc "
+                        "and pd-harq the amc-exact thresholds; pd-harq always combines "
+                        "with IR")
     p.add_argument("--a-tilde", default=None, help="PER decay (number or 'inf')")
     p.add_argument("--k", type=int, default=None, help="max HARQ rounds")
     p.add_argument("--mc-blocks", type=int, default=None)
@@ -300,10 +304,12 @@ def _add_common(p):
 
 
 def _bind_snr_db(argv: list[str]) -> list[str]:
-    """Attach the token after --snr-db to the flag: argparse would read a
-    negative start such as -5:1:30 as an option."""
+    """Attach the token after --snr-db, or after one of its unambiguous
+    prefixes --sn ... --snr-d, to the flag: argparse would read a negative
+    start such as -5:1:30 as an option."""
     tokens = iter(argv)
-    return [f"--snr-db={next(tokens, '')}" if tok == "--snr-db" else tok for tok in tokens]
+    return [f"--snr-db={next(tokens, '')}" if len(tok) > 3 and "--snr-db".startswith(tok)
+            else tok for tok in tokens]
 
 
 def main(argv=None) -> int:

@@ -183,33 +183,3 @@ def aggregate_snr(snrs, combining: CombiningType) -> float:
         return float(np.sum(snrs))
     return float(mutual_information_inv(np.sum(mutual_information(snrs))))
 
-
-def aggregate_snr_vl(first_len: float, entries, combining: CombiningType = CombiningType.IR) -> float:
-    """Aggregate SNR with variable subcodeword lengths (IR only).
-
-    entries is a sequence of (length, snr) pairs for every round,
-    including the first; lengths are normalized block fractions.  Reduces
-    to aggregate_snr when all lengths equal first_len.
-    """
-    if combining is not CombiningType.RR and combining is not CombiningType.IR:
-        raise TypeError("combining must be a CombiningType")
-    if combining is CombiningType.RR:
-        raise ValueError("variable-length combining is defined for IR only")
-    if not first_len > 0:
-        raise ValueError("first_len must be positive")
-    acc = 0.0
-    for length, g in entries:
-        if length < 0:
-            raise ValueError("lengths must be nonnegative")
-        if length > 0:
-            acc += length * mutual_information(g)
-    return float(mutual_information_inv(acc / first_len))
-
-
-def nack_probability(l: int, snrs, combining: CombiningType, table: McsTable) -> float:
-    """Probability of k consecutive decoding failures given the round SNRs.
-
-    Backward error implication: the event is governed by the last round's
-    aggregate SNR alone, not by a product of per-round PERs.
-    """
-    return float(per(l, aggregate_snr(snrs, combining), table))

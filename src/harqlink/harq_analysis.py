@@ -60,28 +60,6 @@ class HarqConfig:
                 raise ValueError("aux lengths must be smaller than every primary length")
 
 
-@dataclass(frozen=True)
-class ErrorCascade:
-    """Consecutive-failure probabilities f_0 = 1 >= f_1 >= ... >= f_K."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        v = tuple(float(x) for x in self.values)
-        object.__setattr__(self, "values", v)
-        if not v or abs(v[0] - 1.0) > 1e-12:
-            raise ValueError("cascade must start at f_0 = 1")
-        if any(b > a + 1e-12 for a, b in zip(v, v[1:])) or v[-1] < -1e-12:
-            raise ValueError("cascade must be non-increasing in [0, 1]")
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
-
-    @property
-    def max_rounds(self) -> int:
-        return len(self.values) - 1
-
-
 # ---------------------------------------------------------------------------
 # slow fading
 # ---------------------------------------------------------------------------
@@ -101,32 +79,16 @@ def slow_cascades(gamma, K: int, combining: CombiningType, table: McsTable) -> n
     return per_at(agg, th, table.a_tilde)
 
 
-def slow_cascade(l: int, gamma: float, K: int, combining: CombiningType,
-                 table: McsTable) -> ErrorCascade:
-    """f_{k,l}(gamma) = PER_l(h^{-1}(k h(gamma))), k = 0..K."""
-    if gamma < 0:
-        raise ValueError("SNR must be nonnegative")
+def slow_throughput_at(gamma, K: int, combining: CombiningType, table: McsTable) -> np.ndarray:
+    """Per-SNR HARQ throughput eta_l(gamma) = R_l (1 - f_K) / (1 + sum_{k<K} f_k)
+    in slow fading for every rate l; K=1 reduces to R_l (1 - PER_l).
+
+    Vectorized over gamma (nonnegative); shape gamma.shape + (L,).
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
-    table._check_index(l)
-    return ErrorCascade((1.0,) + tuple(slow_cascades(gamma, K, combining, table)[l - 1]))
-
-
-def throughput_from_cascade(rate: float, fs) -> float:
-    """Renewal-reward throughput R (1 - f_K) / (1 + sum_{k<K} f_k).
-
-    fs lists f_1..f_K (f_0 = 1 implied); accepts an ErrorCascade too.
-    """
-    if isinstance(fs, ErrorCascade):
-        fs = fs.values[1:]
-    fs = [float(f) for f in fs]
-    return rate * (1.0 - fs[-1]) / (1.0 + sum(fs[:-1]))
-
-
-def slow_throughput_at(l: int, gamma: float, K: int, combining: CombiningType,
-                       table: McsTable) -> float:
-    """Per-SNR HARQ throughput in slow fading; K=1 reduces to R_l(1-PER_l)."""
-    return throughput_from_cascade(table.rate(l), slow_cascade(l, gamma, K, combining, table))
+    f = slow_cascades(gamma, K, combining, table)
+    return np.asarray(table.rates) * (1.0 - f[..., K - 1]) / (1.0 + f[..., :K - 1].sum(axis=-1))
 
 
 def _slow_kinks(l: int, K: int, combining: CombiningType, table: McsTable) -> list[float]:
@@ -154,7 +116,7 @@ def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
 
         def integrand(u, l=l):
             x = -avg_snr * math.log(u) if u > 0.0 else math.inf
-            return slow_throughput_at(l, x, K, combining, table)
+            return slow_throughput_at(x, K, combining, table)[l - 1]
 
         for a, b in regions.intervals_for(l):
             u_lo = 0.0 if math.isinf(b) else math.exp(-b / avg_snr)

@@ -17,7 +17,7 @@ import numpy as np
 from .amc import DecisionRegions, RegionKind, ThroughputEstimate
 from .channel import exp_mass
 from .coding import CombiningType, McsTable
-from .harq_analysis import FastFadingTables, slow_cascades
+from .harq_analysis import FastFadingTables, slow_throughput_at
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,14 +48,6 @@ class FastOptimizeResult:
 # slow fading: pointwise argmax regions
 # ---------------------------------------------------------------------------
 
-def _slow_eta_grid(grid: np.ndarray, K: int, combining: CombiningType,
-                   table: McsTable) -> np.ndarray:
-    """eta_{K,l}(gamma) for every rate over the grid; shape (L, n)."""
-    f = slow_cascades(grid, K, combining, table)  # (n, L, K)
-    eta = np.asarray(table.rates) * (1.0 - f[..., K - 1]) / (1.0 + f[..., :K - 1].sum(axis=-1))
-    return eta.T
-
-
 def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable,
                          snr_grid: np.ndarray | None = None) -> DecisionRegions:
     """Union-of-intervals regions maximizing the per-SNR throughput.
@@ -73,44 +65,30 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable,
         raise ValueError("snr_grid must have at least 2000 points")
 
     def winners(grid):
-        eta = _slow_eta_grid(grid, K, combining, table)
-        L = eta.shape[0]
-        w = L - np.argmax(eta[::-1], axis=0)  # ties -> larger l
-        w[np.all(eta <= 0.0, axis=0)] = 1
+        eta = slow_throughput_at(grid, K, combining, table)  # (n, L)
+        w = table.num_rates - np.argmax(eta[:, ::-1], axis=1)  # ties -> larger l
+        w[np.all(eta <= 0.0, axis=1)] = 1
         return w
 
     grid = snr_grid
     w = winners(grid)
-    for _ in range(2):
-        # single-point runs: densify locally and rescan once or twice
-        runs = _run_lengths(w)
-        if all(r >= 2 for r in runs):
+    for attempt in range(3):
+        cuts = np.flatnonzero(np.diff(w))  # last index of every run but the final one
+        ends = np.append(cuts, w.size - 1)
+        single = ends[np.diff(ends, prepend=-1) == 1]  # runs of length one
+        if not single.size:
             break
-        extra = []
-        idx = 0
-        for r in runs:
-            if r == 1 and 0 < idx < grid.size - 1:
-                extra.append(np.linspace(grid[idx - 1], grid[idx + 1], 20))
-            idx += r
-        grid = np.unique(np.concatenate([grid] + extra))
-        w = winners(grid)
-    else:
-        if any(r < 2 for r in _run_lengths(w)):
+        if attempt == 2:
             raise GridResolutionError("argmax runs remain single-point after refinement")
+        # single-point runs: densify locally and rescan
+        inner = single[(single > 0) & (single < grid.size - 1)]
+        grid = np.unique(np.concatenate(
+            [grid] + [np.linspace(grid[i - 1], grid[i + 1], 20) for i in inner]))
+        w = winners(grid)
 
-    # merge runs and refine the boundaries
-    edges = [0.0]
-    labels = []
-    i = 0
-    while i < grid.size:
-        j = i
-        while j + 1 < grid.size and w[j + 1] == w[i]:
-            j += 1
-        labels.append(int(w[i]))
-        if j + 1 < grid.size:
-            edges.append(_refine_boundary(grid[j], grid[j + 1], winners))
-        i = j + 1
-    edges.append(math.inf)
+    # one interval per run, with refined boundaries
+    labels = w[np.append(0, cuts + 1)]
+    edges = [0.0] + [_refine_boundary(grid[j], grid[j + 1], winners) for j in cuts] + [math.inf]
 
     L = table.num_rates
     per_l: list[list[tuple[float, float]]] = [[] for _ in range(L)]
@@ -121,18 +99,6 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable,
         else:
             ivs.append((a, b))
     return DecisionRegions(RegionKind.INTERVALS, intervals=tuple(tuple(iv) for iv in per_l))
-
-
-def _run_lengths(w: np.ndarray) -> list[int]:
-    runs = []
-    i = 0
-    while i < w.size:
-        j = i
-        while j + 1 < w.size and w[j + 1] == w[i]:
-            j += 1
-        runs.append(j - i + 1)
-        i = j + 1
-    return runs
 
 
 def _refine_boundary(a: float, b: float, winners) -> float:

@@ -12,9 +12,8 @@ from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
 from harqlink.channel import ChannelConfig, FadingMode
 from harqlink.coding import CombiningType, McsTable, per, snr_margin_delta
 from harqlink.harq_analysis import (HarqConfig, HarqVariant, fast_throughput,
-                                    slow_cascade, slow_throughput,
-                                    slow_throughput_at,
-                                    throughput_from_cascade, two_round_bound)
+                                    slow_cascades, slow_throughput,
+                                    slow_throughput_at, two_round_bound)
 from harqlink.optimizer import fast_optimize_regions, slow_optimal_regions
 from harqlink.simulator import (simulate_packet_drop, simulate_plain,
                                 simulate_vl)
@@ -47,22 +46,19 @@ def test_acceptance_02_amc_boundary_pers():
 def test_acceptance_03_cascade_property_suite():
     grid = np.logspace(-2, 2, 50)
     for combining in (CombiningType.RR, CombiningType.IR):
-        for l in range(1, 6):
-            for g in grid:
-                c = slow_cascade(l, float(g), 6, combining, TABLE)
-                for k in range(1, 6):
-                    # f_{k+1} f_{k-1} <= f_k^2 (ratio non-increasing)
-                    assert c[k + 1] * c[k - 1] <= c[k] ** 2 + 1e-12
-                etas = [slow_throughput_at(l, float(g), K, combining, TABLE)
-                        for K in range(1, 7)]
-                assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
-    # a synthetic cascade with f_k <= f_1^k whose third round still hurts
+        f = slow_cascades(grid, 6, combining, TABLE)
+        c = np.concatenate([np.ones(f.shape[:-1] + (1,)), f], axis=-1)  # f_0 = 1
+        # f_{k+1} f_{k-1} <= f_k^2 (ratio non-increasing)
+        assert np.all(c[..., 2:7] * c[..., 0:5] <= c[..., 1:6] ** 2 + 1e-12)
+        etas = np.stack([slow_throughput_at(grid, K, combining, TABLE) for K in range(1, 7)])
+        assert np.all(np.diff(etas, axis=0) >= -1e-12)
+    # a synthetic cascade with f_k <= f_1^k whose third round still hurts:
+    # R (1 - f_K) / (1 + sum_{k<K} f_k) with R = 1
     f1 = 0.9
     f2 = 0.5 * f1 ** 2
     f3 = 0.75 * f1 ** 3
     assert f2 <= f1 ** 2 and f3 <= f1 ** 3
-    assert (throughput_from_cascade(1.0, [f1, f2])
-            > throughput_from_cascade(1.0, [f1, f2, f3]))
+    assert (1.0 - f2) / (1.0 + f1) > (1.0 - f3) / (1.0 + f1 + f2)
 
 
 # -- 4: Monte Carlo vs analytic at nine grid points --------------------------

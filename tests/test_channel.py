@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from harqlink.channel import (ChannelConfig, FadingMode, db_to_linear,
                               draw_exponential, linear_to_db, make_stream,
-                              sample_cycle_snrs, snr_pdf)
+                              snr_pdf)
 
 
 def test_pdf_normalizes_and_has_correct_mean():
@@ -44,28 +44,6 @@ def test_draw_moments():
     assert np.all(x >= 0)
     assert x.mean() == pytest.approx(3.0, rel=0.02)
     assert x.std() == pytest.approx(3.0, rel=0.02)
-
-
-def test_slow_mode_repeats_one_draw():
-    cfg = ChannelConfig(avg_snr=1.5, fading_mode=FadingMode.SLOW, seed=3)
-    row = sample_cycle_snrs(cfg, rounds=4)
-    assert row.shape == (4,)
-    assert np.all(row == row[0])
-
-
-def test_fast_mode_draws_independent_rounds():
-    cfg = ChannelConfig(avg_snr=1.5, fading_mode=FadingMode.FAST, seed=3)
-    row = sample_cycle_snrs(cfg, rounds=4)
-    assert row.shape == (4,)
-    assert np.unique(row).size == 4
-
-
-def test_cycle_snrs_deterministic_per_stream():
-    cfg = ChannelConfig(avg_snr=1.5, fading_mode=FadingMode.FAST, seed=3)
-    np.testing.assert_array_equal(sample_cycle_snrs(cfg, 4, stream_id=2),
-                                  sample_cycle_snrs(cfg, 4, stream_id=2))
-    assert not np.array_equal(sample_cycle_snrs(cfg, 4, stream_id=2),
-                              sample_cycle_snrs(cfg, 4, stream_id=3))
 
 
 def test_db_roundtrip():

@@ -2,8 +2,13 @@ import math
 
 import pytest
 
-from harqlink.cli import (CSV_HEADER, SweepSpec, emit_thresholds, main,
-                          run_sweep)
+from harqlink.amc import (amc_throughput, amc_thresholds_closed_form,
+                          amc_thresholds_per_target)
+from harqlink.channel import db_to_linear, linear_to_db
+from harqlink.cli import (CSV_HEADER, DEFAULT_RATES, SweepSpec,
+                          emit_thresholds, main, run_sweep)
+from harqlink.coding import McsTable
+from harqlink.harq_analysis import two_round_bound
 
 
 def _spec(**kw):
@@ -91,12 +96,38 @@ def test_cli_sweep_writes_file(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_snr_db_negative_start_as_separate_token(tmp_path, monkeypatch):
-    # the README form: argparse must not read -5:5:5 as an option
+    # the README form and argparse's unambiguous prefixes of the flag:
+    # argparse must not read -5:5:5 as an option
     monkeypatch.setenv("HARQLINK_WORKERS", "1")
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--snr-db", "-5:5:5", "--schemes", "amc", "--out", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert [float(r.split(",")[0]) for r in rows] == [-5.0, 0.0, 5.0]
+    for flag in ("--snr-db", "--snr-d", "--snr-", "--snr", "--sn"):
+        assert main(["sweep", flag, "-5:5:5", "--schemes", "amc", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [-5.0, 0.0, 5.0]
+
+
+def test_regionless_schemes_use_the_labelled_region_source(monkeypatch):
+    # amc and harq-2r-bound rows labelled amc-closed-form or per-target must
+    # be computed on those thresholds, not on the amc-exact ones
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    table = McsTable(rates=DEFAULT_RATES, a_tilde=4.0)
+    sources = {"amc-closed-form": amc_thresholds_closed_form(table),
+               "per-target": amc_thresholds_per_target(table, 0.1, 1)}
+    cols = CSV_HEADER.split(",")
+    for source, regions in sources.items():
+        lines = run_sweep(_spec(schemes=("amc", "harq-2r-bound"), region_source=source))
+        for row in lines[1:]:
+            fields = dict(zip(cols, row.split(",")))
+            assert fields["region_source"] == source
+            avg = db_to_linear(float(fields["snr_avg_db"]))
+            if fields["scheme"] == "amc":
+                want = amc_throughput(regions, table, avg).value
+            else:
+                want = two_round_bound(regions, table, avg)
+            assert float(fields["throughput"]) == pytest.approx(want, rel=1e-11)
+        dump = emit_thresholds(_spec(region_source=source, snr_db_stop=0.0))
+        want_db = ["-inf"] + [f"{linear_to_db(t):.12g}" for t in regions.thresholds[1:]]
+        assert [r.split(",")[3] for r in dump[1:]] == want_db
 
 
 def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harqlink.coding import (CombiningType, McsTable, aggregate_snr,
-                             aggregate_snr_vl, mutual_information,
-                             mutual_information_inv, nack_probability, per,
+                             mutual_information, mutual_information_inv, per,
                              snr_margin_delta)
+from harqlink.harq_analysis import HarqConfig, HarqVariant
+from harqlink.simulator import _vl_aggregate
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 STEP_TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=math.inf)
@@ -112,7 +113,7 @@ def test_nack_probability_uses_aggregate_not_product():
     th = TABLE.threshold(2)
     g = th * 0.75
     assert per(2, g, TABLE) == 1.0
-    got = nack_probability(2, [g, g], CombiningType.RR, TABLE)
+    got = per(2, aggregate_snr([g, g], CombiningType.RR), TABLE)
     assert got == pytest.approx(per(2, 2 * g, TABLE), rel=1e-12)
     assert got < 1.0
 
@@ -120,25 +121,28 @@ def test_nack_probability_uses_aggregate_not_product():
 def test_nack_probability_monotone_in_rounds():
     snrs = [0.8, 0.3, 1.1, 0.6]
     for combining in (CombiningType.RR, CombiningType.IR):
-        vals = [nack_probability(3, snrs[:k], combining, TABLE) for k in range(1, 5)]
+        vals = [per(3, aggregate_snr(snrs[:k], combining), TABLE) for k in range(1, 5)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_aggregate_snr_vl_reduces_to_equal_lengths():
-    entries = [(0.5, 1.0), (0.5, 3.0)]
-    got = aggregate_snr_vl(0.5, entries)
+    # the first round's aggregate is its own SNR; fold in a second round
+    # of the same length
+    got = _vl_aggregate(1.0, 0.5, 0.5, 3.0)
     assert got == pytest.approx(aggregate_snr([1.0, 3.0], CombiningType.IR), rel=1e-12)
 
 
 def test_aggregate_snr_vl_scales_partial_rounds():
     # a half-length retransmission contributes half of its MI
-    full = aggregate_snr_vl(1.0, [(1.0, 2.0), (1.0, 2.0)])
-    half = aggregate_snr_vl(1.0, [(1.0, 2.0), (0.5, 2.0)])
+    full = _vl_aggregate(2.0, 1.0, 1.0, 2.0)
+    half = _vl_aggregate(2.0, 0.5, 1.0, 2.0)
     assert half < full
     expect = mutual_information_inv(1.5 * mutual_information(2.0))
     assert half == pytest.approx(expect, rel=1e-12)
 
 
 def test_aggregate_snr_vl_rejects_rr():
+    # variable-length combining is defined for IR only
     with pytest.raises(ValueError):
-        aggregate_snr_vl(1.0, [(1.0, 2.0)], CombiningType.RR)
+        HarqConfig(combining=CombiningType.RR, max_rounds=4,
+                   variant=HarqVariant.VARIABLE_LENGTH, lengths_primary=(1.0, 0.5))

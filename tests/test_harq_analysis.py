@@ -7,12 +7,11 @@ from scipy.integrate import quad
 from harqlink.amc import amc_throughput, amc_thresholds_exact
 from harqlink.channel import exp_mass, make_stream
 from harqlink.coding import CombiningType, McsTable, per, per_pdf_mass
-from harqlink.harq_analysis import (ErrorCascade, FastFadingTables, HarqConfig,
-                                    HarqVariant, fast_cascade_conditional,
+from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
+                                    fast_cascade_conditional,
                                     fast_region_quantities, fast_throughput,
-                                    slow_cascade, slow_throughput,
-                                    slow_throughput_at,
-                                    throughput_from_cascade, two_round_bound)
+                                    slow_cascades, slow_throughput,
+                                    slow_throughput_at, two_round_bound)
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 
@@ -53,16 +52,6 @@ def test_harq_config_validation():
     assert ok.max_rounds == 4
 
 
-def test_error_cascade_validation():
-    with pytest.raises(ValueError):
-        ErrorCascade((0.9, 0.5))
-    with pytest.raises(ValueError):
-        ErrorCascade((1.0, 0.5, 0.7))
-    c = ErrorCascade((1.0, 0.5, 0.2))
-    assert c.max_rounds == 2
-    assert c[1] == 0.5
-
-
 def test_exp_mass():
     assert exp_mass(0.0, math.inf, 3.0) == pytest.approx(1.0)
     assert exp_mass(1.0, 2.0, 3.0) == pytest.approx(math.exp(-1 / 3) - math.exp(-2 / 3), rel=1e-12)
@@ -78,33 +67,41 @@ def test_per_pdf_mass_matches_quadrature():
 
 
 def test_slow_cascade_values():
-    c = slow_cascade(3, 2.0, 4, CombiningType.RR, TABLE)
-    assert c[0] == 1.0
+    c = slow_cascades(2.0, 4, CombiningType.RR, TABLE)
+    assert c.shape == (5, 4)
     for k in range(1, 5):
-        assert c[k] == pytest.approx(per(3, 2.0 * k, TABLE), rel=1e-12)
-    c = slow_cascade(3, 2.0, 4, CombiningType.IR, TABLE)
+        assert c[2, k - 1] == pytest.approx(per(3, 2.0 * k, TABLE), rel=1e-12)
+    c = slow_cascades(2.0, 4, CombiningType.IR, TABLE)
     for k in range(1, 5):
-        assert c[k] == pytest.approx(per(3, 3.0 ** k - 1.0, TABLE), rel=1e-12)
+        assert c[2, k - 1] == pytest.approx(per(3, 3.0 ** k - 1.0, TABLE), rel=1e-12)
 
 
 def test_slow_cascade_rr_below_half_threshold_still_fails_twice():
     th = TABLE.threshold(2)
-    c = slow_cascade(2, th / 2 * 0.999, 2, CombiningType.RR, TABLE)
-    assert c[2] == 1.0
+    c = slow_cascades(th / 2 * 0.999, 2, CombiningType.RR, TABLE)
+    assert c[1, 1] == 1.0
 
 
 def test_ir_cascade_dominated_by_rr():
     for gamma in (0.3, 1.0, 4.0):
-        rr = slow_cascade(4, gamma, 5, CombiningType.RR, TABLE)
-        ir = slow_cascade(4, gamma, 5, CombiningType.IR, TABLE)
+        rr = slow_cascades(gamma, 5, CombiningType.RR, TABLE)[3]
+        ir = slow_cascades(gamma, 5, CombiningType.IR, TABLE)[3]
         for k in range(2, 6):
-            assert ir[k] <= rr[k] + 1e-12
+            assert ir[k - 1] <= rr[k - 1] + 1e-12
 
 
 def test_throughput_from_cascade():
-    assert throughput_from_cascade(2.0, [0.5, 0.25]) == pytest.approx(2.0 * 0.75 / 1.5, rel=1e-12)
-    c = ErrorCascade((1.0, 0.5, 0.25))
-    assert throughput_from_cascade(2.0, c) == pytest.approx(1.0, rel=1e-12)
+    # eta_l = R_l (1 - f_K) / (1 + sum_{k<K} f_k) on the slow cascades
+    gamma = np.array([0.3, 2.0, 9.0])
+    for combining in (CombiningType.RR, CombiningType.IR):
+        f = slow_cascades(gamma, 3, combining, TABLE)
+        eta = slow_throughput_at(gamma, 3, combining, TABLE)
+        assert eta.shape == (3, 5)
+        for i in range(3):
+            for l in range(1, 6):
+                f1, f2, f3 = f[i, l - 1]
+                want = TABLE.rate(l) * (1.0 - f3) / (1.0 + f1 + f2)
+                assert eta[i, l - 1] == pytest.approx(want, rel=1e-12)
 
 
 def test_counterexample_cascade_decreases_with_extra_round():
@@ -112,16 +109,18 @@ def test_counterexample_cascade_decreases_with_extra_round():
     # extra slot cost outweighs the success gain, so throughput drops
     f1, f2, f3 = 0.9, 0.405, 0.4
     assert 1.0 >= f1 >= f2 >= f3
-    eta2 = throughput_from_cascade(1.0, [f1, f2])
-    eta3 = throughput_from_cascade(1.0, [f1, f2, f3])
+    eta2 = (1.0 - f2) / (1.0 + f1)
+    eta3 = (1.0 - f3) / (1.0 + f1 + f2)
     assert eta2 > eta3
 
 
 def test_slow_throughput_at_reductions():
-    assert slow_throughput_at(3, 2.0, 1, CombiningType.IR, TABLE) == pytest.approx(
+    assert slow_throughput_at(2.0, 1, CombiningType.IR, TABLE)[2] == pytest.approx(
         TABLE.rate(3) * (1 - per(3, 2.0, TABLE)), rel=1e-12)
-    assert slow_throughput_at(5, 1e5, 4, CombiningType.IR, TABLE) == pytest.approx(
+    assert slow_throughput_at(1e5, 4, CombiningType.IR, TABLE)[4] == pytest.approx(
         TABLE.rate(5), rel=1e-9)
+    with pytest.raises(ValueError):
+        slow_throughput_at(2.0, 0, CombiningType.IR, TABLE)
 
 
 def test_supermultiplicative_ratio_condition_and_k_monotonicity():
@@ -129,15 +128,12 @@ def test_supermultiplicative_ratio_condition_and_k_monotonicity():
     # implied monotonicity of the throughput in the round budget
     grid = np.logspace(-2, 2, 50)
     for combining in (CombiningType.RR, CombiningType.IR):
-        for l in range(1, 6):
-            for g in grid:
-                c = slow_cascade(l, float(g), 6, combining, TABLE)
-                for k in range(1, 6):
-                    if c[k] > 0:
-                        assert c[k + 1] * c[k - 1] <= c[k] ** 2 + 1e-12
-                etas = [slow_throughput_at(l, float(g), K, combining, TABLE)
-                        for K in range(1, 7)]
-                assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
+        f = slow_cascades(grid, 6, combining, TABLE)
+        c = np.concatenate([np.ones(f.shape[:-1] + (1,)), f], axis=-1)  # f_0 = 1
+        prev, cur, nxt = c[..., 0:5], c[..., 1:6], c[..., 2:7]
+        assert np.all((nxt * prev <= cur ** 2 + 1e-12) | (cur <= 0))
+        etas = np.stack([slow_throughput_at(grid, K, combining, TABLE) for K in range(1, 7)])
+        assert np.all(np.diff(etas, axis=0) >= -1e-12)
 
 
 def test_slow_throughput_reference_and_reductions():

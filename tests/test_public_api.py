@@ -1,0 +1,57 @@
+"""Every name in harqlink.__all__ must be referenced by a module of the
+package other than the one that defines it, or be listed in ALLOWED with
+the reason it stays public.  Names only tests use do not count."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import harqlink
+
+README_ENTRY_POINTS = ("McsTable", "CombiningType", "amc_thresholds_exact",
+                       "amc_throughput", "fast_throughput", "slow_throughput",
+                       "fast_optimize_regions", "slow_optimal_regions",
+                       "two_round_bound", "simulate_plain")
+
+ALLOWED = {
+    **{name: "library entry point shown in the README" for name in README_ENTRY_POINTS},
+    "fast_cascade_conditional": "pointwise reference the FastFadingTables tests compare against",
+    "DinkelbachState": "outer-iteration snapshot of the fast optimizer (ROADMAP item 1)",
+    "FastOptimizeResult": "return type of fast_optimize_regions",
+    "SimResult": "return type of the simulate_* engines",
+    "GridResolutionError": "raised by slow_optimal_regions for callers to catch",
+    "snr_pdf": "the Rayleigh SNR law that exp_mass and the closed-form averages integrate",
+    "fast_region_quantities": "per-rate terms p_l, f_{k,l}, T_bar_l of the fast_throughput ratio",
+    "vl_schedule": "length assignment of one variable-length block",
+    "vl_update": "buffer update of one variable-length block",
+}
+
+
+def _referenced_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_public_names_are_used_inside_the_package():
+    src = Path(harqlink.__file__).parent
+    refs = {p.stem: _referenced_names(p) for p in src.glob("*.py") if p.name != "__init__.py"}
+    unused = []
+    for name in harqlink.__all__:
+        obj = getattr(harqlink, name)
+        if inspect.ismodule(obj) or name in ALLOWED:
+            continue
+        home = obj.__module__.rsplit(".", 1)[-1]
+        if not any(name in names for mod, names in refs.items() if mod != home):
+            unused.append(name)
+    assert not unused, f"public names no other module uses: {unused}"
+
+
+def test_allowed_names_are_public():
+    assert set(ALLOWED) <= set(harqlink.__all__)
