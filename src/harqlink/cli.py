@@ -54,6 +54,8 @@ class SweepSpec:
             raise ValueError("snr step must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -167,10 +169,13 @@ def _sweep_point_star(args):
 
 
 def emit_thresholds(spec: SweepSpec) -> list[str]:
-    """Per-snr threshold vectors (or interval unions) as CSV lines."""
+    """Per-snr threshold vectors (or interval unions) as CSV lines.
+
+    harq-2r-bound and vl-harq get no rows: vl-harq schedules without
+    decision regions."""
     table = McsTable(rates=spec.rates, a_tilde=spec.a_tilde)
     lines = ["snr_avg_db,scheme,l,gamma_l_db,degenerate"]
-    schemes = [s for s in sorted(spec.schemes) if s != "harq-2r-bound"]
+    schemes = [s for s in sorted(spec.schemes) if s not in ("harq-2r-bound", "vl-harq")]
     for snr_db in spec.snr_points_db():
         avg = db_to_linear(snr_db)
         for scheme in schemes:

@@ -10,6 +10,7 @@ cycle against the nested cascade reproduces that law exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -275,6 +276,18 @@ class _VlContext:
         self.buffer_cap = harq.max_rounds * len(self.primary)
         # all fresh multisets (counts per primary length) fitting in one block
         self.fresh_sets = self._enumerate_fresh()
+        counts_m, costs_m, npkts_m = self.fresh_sets
+        self.fresh_lengths = [tuple(self.fresh_lengths_of(c)) for c in counts_m]
+        # tie-break rank: fewer packets, then the lexicographically smallest
+        # sorted length list
+        order = sorted(range(len(counts_m)), key=lambda j: (npkts_m[j], self.fresh_lengths[j]))
+        self.fresh_rank = np.empty(len(order), dtype=np.intp)
+        self.fresh_rank[order] = np.arange(len(order))
+        self.primary_thresholds = np.array([table.thresholds[self.len_to_l[length] - 1]
+                                            for length in self.primary])
+        self.full_mask = npkts_m <= self.buffer_cap  # every multiset fits the budget
+        self.cost_levels = sorted(set(costs_m.tolist()))
+        self.level_masks = costs_m <= np.array(self.cost_levels)[:, None]
 
     def _enumerate_fresh(self):
         counts_list, costs, npkts = [], [], []
@@ -300,6 +313,22 @@ class _VlContext:
             out.extend([length] * n)
         return sorted(out)
 
+    def best_fresh(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Index of the best fresh multiset along the last axis of values
+        among those in mask: the lowest rank within 1e-12 of the maximum."""
+        vals = np.where(mask, values, -1.0)
+        top = vals.max(axis=-1, keepdims=True)
+        ranks = np.where(vals >= top - 1e-12, self.fresh_rank, len(self.fresh_rank))
+        return ranks.argmin(axis=-1)
+
+    def fresh_chunk(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block PERs of the primary lengths, shape (blocks, primaries),
+        and each block's best fresh multiset under the full block budget
+        and buffer capacity."""
+        per_rows = per_at(gammas[:, None], self.primary_thresholds, self.table.a_tilde)
+        values = (1.0 - per_rows) @ self.fresh_sets[0].T
+        return per_rows, self.best_fresh(values, self.full_mask)
+
 
 def _vl_aggregate(snr_sigma: float, length: float, first_len: float, gamma: float) -> float:
     """Aggregate SNR after folding a round of `length` at SNR gamma into
@@ -308,15 +337,23 @@ def _vl_aggregate(snr_sigma: float, length: float, first_len: float, gamma: floa
         mutual_information(snr_sigma) + (length / first_len) * mutual_information(gamma))
 
 
+def _vl_failure_probs(pkt: PacketState, lengths, gamma: float, table: McsTable,
+                      l: int) -> list[float]:
+    """Conditional failure probabilities f(h) of a retransmission of pkt
+    with each of `lengths`."""
+    p_now = per(l, pkt.snr_sigma, table)
+    if p_now <= 0.0:
+        return [0.0] * len(lengths)
+    return [per(l, _vl_aggregate(pkt.snr_sigma, length, pkt.first_len, gamma), table) / p_now
+            for length in lengths]
+
+
 def _vl_failure_prob(pkt: PacketState, length: float, gamma: float,
                      table: McsTable, l: int) -> float:
     """Conditional failure probability f(h) if pkt is sent with `length`."""
     if pkt.harq_count == 0:
         return per(l, gamma, table)  # first transmission: aggregate is the block SNR
-    p_now = per(l, pkt.snr_sigma, table)
-    if p_now <= 0.0:
-        return 0.0
-    return per(l, _vl_aggregate(pkt.snr_sigma, length, pkt.first_len, gamma), table) / p_now
+    return _vl_failure_probs(pkt, (length,), gamma, table, l)[0]
 
 
 def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
@@ -337,53 +374,45 @@ def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
     fresh_idx = [i for i, p in enumerate(buffer) if p.harq_count == 0]
 
     succ = np.array([1.0 - per(ctx.len_to_l[length], gamma, table) for length in ctx.primary])
-    counts_m, costs_m, npkts_m = ctx.fresh_sets
+    counts_m, _, npkts_m = ctx.fresh_sets
     fresh_values = counts_m @ succ
 
     # per-candidate (length, units, value) options, 0-length excluded
     options = []
     for i in nonfresh_idx:
         pkt = buffer[i]
-        l = ctx.len_to_l[pkt.first_len]
-        opts = []
-        for length in ctx.retx_lengths:
-            val = 1.0 - _vl_failure_prob(pkt, length, gamma, table, l)
-            opts.append((length, ctx.units[length], val))
-        options.append(opts)
+        fails = _vl_failure_probs(pkt, ctx.retx_lengths, gamma, table, ctx.len_to_l[pkt.first_len])
+        options.append([(length, ctx.units[length], 1.0 - f)
+                        for length, f in zip(ctx.retx_lengths, fails)])
     opt_best = [max((v for _, _, v in opts), default=0.0) for opts in options]
     suffix_best = [0.0] * (len(options) + 1)
     for i in range(len(options) - 1, -1, -1):
         suffix_best[i] = suffix_best[i + 1] + opt_best[i]
 
-    fresh_memo: dict[tuple[int, int], int] = {}
-
-    def best_fresh(cap_units: int, slots: int) -> int:
-        key = (cap_units, slots)
-        if key not in fresh_memo:
-            mask = (costs_m <= cap_units) & (npkts_m <= slots)
-            vals = np.where(mask, fresh_values, -1.0)
-            # among max-value multisets prefer fewer packets, then the
-            # lexicographically smallest sorted length list
-            top = vals.max()
-            cand = np.flatnonzero(vals >= top - 1e-12)
-            best = min(cand, key=lambda j: (npkts_m[j],
-                                            tuple(ctx.fresh_lengths_of(counts_m[j]))))
-            fresh_memo[key] = int(best)
-        return fresh_memo[key]
-
     n_slots = len(fresh_idx)
+    # the best fresh multiset is a step function of the capacity left: it
+    # changes only at the distinct multiset costs, so solve each level once
+    best = ctx.best_fresh(fresh_values, ctx.level_masks & (npkts_m <= n_slots))
+    level_best, level_value = best.tolist(), fresh_values[best].tolist()
+    levels = ctx.cost_levels
+
+    def level_of(cap_units: int) -> int:
+        return bisect_right(levels, cap_units) - 1
+
     best_key = None
     best_assign = None
 
     def consider(nf_lengths: list[float], cap_units: int, value: float):
         nonlocal best_key, best_assign
-        j = best_fresh(cap_units, n_slots)
-        total = value + float(fresh_values[j])
-        fresh_lens = ctx.fresh_lengths_of(counts_m[j])
+        level = level_of(cap_units)
+        total = value + level_value[level]
+        if best_key is not None and -total > best_key[0]:
+            return  # a lower total loses whatever the tie-breaks
+        fresh_lens = ctx.fresh_lengths[level_best[level]]
         assign = [0.0] * len(buffer)
         for idx, length in zip(nonfresh_idx, nf_lengths):
             assign[idx] = length
-        pad = [0.0] * (n_slots - len(fresh_lens)) + fresh_lens
+        pad = [0.0] * (n_slots - len(fresh_lens)) + list(fresh_lens)
         for idx, length in zip(fresh_idx, pad):
             assign[idx] = length
         scheduled = sum(1 for a in assign if a > 0)
@@ -393,7 +422,7 @@ def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
 
     def dfs(i: int, nf_lengths: list[float], cap_units: int, value: float):
         if best_key is not None:
-            bound = value + suffix_best[i] + float(fresh_values[best_fresh(cap_units, n_slots)])
+            bound = value + suffix_best[i] + level_value[level_of(cap_units)]
             if bound < -best_key[0] - 1e-12:
                 return
         if i == len(options):
@@ -445,10 +474,28 @@ def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
     return new_buffer, acked, drops
 
 
+def _uniforms(gen: np.random.Generator):
+    """The stream's uniforms one at a time, drawn in chunks: gen.random(n)
+    gives the same values as n calls of gen.random()."""
+    while True:
+        yield from gen.random(_VL_CHUNK).tolist()
+
+
+_VL_CHUNK = 1024
+
+
 def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                 blocks: int, stream_id: int = 0) -> SimResult:
     """Variable-length HARQ over fast fading; throughput is R_1 bits per
-    ACKed packet per block."""
+    ACKed packet per block.
+
+    RNG contract: all block SNRs are drawn first, then one uniform per
+    scheduled packet, in buffer order, from the same stream (drawn in
+    chunks, which yields the same values as one draw per packet).  A block
+    whose buffer holds only fresh packets skips `vl_schedule`: with no
+    retransmission candidates the schedule is the best fresh multiset under
+    the full budget, which is precomputed for blocks in chunks.
+    """
     if channel.fading_mode is not FadingMode.FAST:
         raise ValueError("variable-length HARQ is simulated for fast fading only")
     if blocks < 10 ** 5:
@@ -456,31 +503,61 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     ctx = _VlContext(harq, table)
     gen = make_stream(channel.seed, stream_id)
     gammas = draw_exponential(gen, channel.avg_snr, blocks)
+    uniforms = _uniforms(gen)
     r1 = table.rates[0]
+    col = {length: c for c, length in enumerate(ctx.primary)}
+    # per fresh multiset: its scheduled (length, PER column) pairs in slot order
+    fresh_slots = [[(length, col[length]) for length in lengths] for lengths in ctx.fresh_lengths]
 
-    buffer = [PacketState() for _ in range(ctx.buffer_cap)]
+    buffer = None  # None: every packet in the buffer is fresh
     acked_total = 0
     drops = 0
-    batch_acked = np.zeros(_N_BATCHES)
+    batch_acked = [0] * _N_BATCHES
     batch_size = blocks // _N_BATCHES
 
-    for i in range(blocks):
-        g = float(gammas[i])
-        assign = vl_schedule(buffer, g, harq, table, ctx)
-        outcomes = []
-        for pkt, length in zip(buffer, assign):
-            if length == 0.0:
-                outcomes.append(False)
-                continue
-            l = ctx.len_to_l[pkt.first_len if pkt.harq_count > 0 else length]
-            f = _vl_failure_prob(pkt, length, g, table, l)
-            outcomes.append(bool(gen.random() >= f))
-        buffer, acked, dropped = vl_update(buffer, assign, g, outcomes, harq, table, ctx)
-        drops += dropped
-        acked_total += acked
-        batch_acked[min(i // batch_size, _N_BATCHES - 1)] += acked
+    for start in range(0, blocks, _VL_CHUNK):
+        g_chunk = gammas[start:start + _VL_CHUNK]
+        per_rows, choice = ctx.fresh_chunk(g_chunk)
+        for i, g, fresh_per, j in zip(range(start, blocks), g_chunk.tolist(),
+                                      per_rows.tolist(), choice.tolist()):
+            if buffer is None:
+                acked = 0
+                nacked = []
+                for length, c in fresh_slots[j]:
+                    if next(uniforms) >= fresh_per[c]:
+                        acked += 1
+                    else:
+                        nacked.append(length)
+                if nacked and harq.max_rounds > 1:
+                    # vl_update's order: unscheduled, NACKed, then top-up packets
+                    n = len(fresh_slots[j])
+                    buffer = ([PacketState() for _ in range(ctx.buffer_cap - n)]
+                              + [PacketState(harq_count=1, first_len=length,
+                                             snr_sigma=_vl_aggregate(0.0, length, length, g))
+                                 for length in nacked]
+                              + [PacketState() for _ in range(n - len(nacked))])
+                else:
+                    drops += len(nacked)
+            else:
+                assign = vl_schedule(buffer, g, harq, table, ctx)
+                outcomes = []
+                for pkt, length in zip(buffer, assign):
+                    if length == 0.0:
+                        outcomes.append(False)
+                        continue
+                    if pkt.harq_count == 0:
+                        f = fresh_per[col[length]]
+                    else:
+                        f = _vl_failure_prob(pkt, length, g, table, ctx.len_to_l[pkt.first_len])
+                    outcomes.append(next(uniforms) >= f)
+                buffer, acked, dropped = vl_update(buffer, assign, g, outcomes, harq, table, ctx)
+                drops += dropped
+                if all(pkt.harq_count == 0 for pkt in buffer):
+                    buffer = None
+            acked_total += acked
+            batch_acked[min(i // batch_size, _N_BATCHES - 1)] += acked
 
-    ratios = r1 * batch_acked / batch_size
+    ratios = r1 * np.array(batch_acked, dtype=float) / batch_size
     ci = 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
     return SimResult(
         throughput=r1 * acked_total / blocks,

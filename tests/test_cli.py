@@ -84,6 +84,14 @@ def test_thresholds_dump_format():
     assert first[4] in ("0", "1")
 
 
+def test_thresholds_dump_has_no_vl_harq_rows():
+    # simulate_vl takes no decision regions, so none are dumped for it
+    spec = _spec(schemes=("harq-ir", "vl-harq"), region_source="optimized",
+                 fading="slow", snr_db_stop=0.0)
+    rows = [line.split(",") for line in emit_thresholds(spec)[1:]]
+    assert [r[1] for r in rows] == ["harq-ir"] * 5
+
+
 def test_cli_sweep_writes_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HARQLINK_WORKERS", "1")
     out = tmp_path / "sweep.csv"
@@ -149,6 +157,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["sweep", "--config", str(missing)]) == 2
     assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "amc", "--seed", "-1"]) == 2
+    assert main(["sweep", "--snr-db", "0:5:5", "--schemes", "harq-ir", "--k", "0"]) == 2
 
 
 def test_cli_unwritable_output_exit_code(tmp_path):

@@ -8,7 +8,7 @@ from harqlink.channel import ChannelConfig, FadingMode
 from harqlink.coding import CombiningType, McsTable, mutual_information, per
 from harqlink.harq_analysis import (HarqConfig, HarqVariant, fast_throughput,
                                     slow_throughput)
-from harqlink.simulator import (PacketState, simulate_packet_drop,
+from harqlink.simulator import (PacketState, SimResult, simulate_packet_drop,
                                 simulate_plain, simulate_vl, vl_schedule,
                                 vl_update)
 
@@ -202,3 +202,64 @@ def test_vl_simulation_runs_and_beats_nothing_scheduled():
     with pytest.raises(ValueError):
         simulate_vl(VL_HARQ, VL_TABLE, _chan(10.0, mode=FadingMode.SLOW),
                     blocks=10 ** 5)
+
+
+DEFAULT_VL_HARQ = HarqConfig(combining=CombiningType.IR, max_rounds=4,
+                             variant=HarqVariant.VARIABLE_LENGTH,
+                             lengths_primary=(1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5),
+                             lengths_aux=(1 / 8, 1 / 12, 1 / 16))
+VL_ONE_ROUND = HarqConfig(combining=CombiningType.IR, max_rounds=1,
+                          variant=HarqVariant.VARIABLE_LENGTH,
+                          lengths_primary=(1.0, 0.5, 0.25), lengths_aux=(0.125,))
+VL_STEP_TABLE = McsTable(rates=(0.75, 1.5, 3.0), a_tilde=math.inf)
+
+
+@pytest.mark.parametrize("harq, table, avg, seed, stream, want", [
+    (DEFAULT_VL_HARQ, TABLE, 10.0 ** 2.0, 10, 6,
+     SimResult(3.4749225, 0.006262102578126587, 10 ** 5, 463323, 0)),
+    (VL_HARQ, VL_TABLE, 10.0, 1, 0,
+     SimResult(1.87611, 0.009789120731397555, 10 ** 5, 250148, 0)),
+    (VL_HARQ, VL_TABLE, 1.0, 3, 0,
+     SimResult(0.4297425, 0.004229747197178671, 10 ** 5, 57299, 4)),
+    (VL_HARQ, VL_STEP_TABLE, 10.0, 2, 0,
+     SimResult(2.06709, 0.009320295743971963, 10 ** 5, 275612, 0)),
+    (VL_ONE_ROUND, VL_TABLE, 10.0 ** 0.5, 4, 0,
+     SimResult(0.94272, 0.006021176532600146, 10 ** 5, 125696, 13085)),
+], ids=["default-20db", "vl-10db", "vl-0db-drops", "vl-step-decoding", "vl-one-round"])
+def test_vl_results_are_pinned(harq, table, avg, seed, stream, want):
+    # exact values from the block-by-block engine that scheduled every
+    # block with vl_schedule and drew one uniform per call
+    assert simulate_vl(harq, table, _chan(avg, seed=seed), 10 ** 5, stream) == want
+
+
+@pytest.mark.parametrize("harq, table", [
+    (VL_HARQ, VL_TABLE), (VL_HARQ, VL_STEP_TABLE), (DEFAULT_VL_HARQ, TABLE),
+    (DEFAULT_VL_HARQ, McsTable(rates=TABLE.rates, a_tilde=math.inf)),
+    (VL_ONE_ROUND, VL_TABLE),
+], ids=["a4", "step", "default-a4", "default-step", "one-round"])
+def test_all_fresh_shortcut_matches_scheduler(harq, table):
+    from harqlink.simulator import _VlContext
+    ctx = _VlContext(harq, table)
+    # a log grid plus every decoding threshold, where step decoding ties
+    gammas = np.concatenate([np.geomspace(1e-3, 1e4, 300), table.thresholds])
+    per_rows, choice = ctx.fresh_chunk(gammas)
+    assert per_rows.shape == (gammas.size, len(ctx.primary))
+    fresh = [PacketState() for _ in range(ctx.buffer_cap)]
+    for g, j in zip(gammas.tolist(), choice.tolist()):
+        lengths = list(ctx.fresh_lengths[j])
+        want = [0.0] * (ctx.buffer_cap - len(lengths)) + lengths
+        assert vl_schedule(fresh, g, harq, table, ctx) == want
+
+
+def test_best_fresh_tie_rule():
+    from harqlink.simulator import _VlContext
+    ctx = _VlContext(VL_HARQ, VL_TABLE)
+    counts_m, costs_m, npkts_m = ctx.fresh_sets
+    half = costs_m <= ctx.unit // 2
+    # success 1, 1, 1/2 for lengths 1, 1/2, 1/4: within half a block
+    # {1/2} and {1/4, 1/4} tie at 1.0, and fewer packets win
+    values = counts_m @ np.array([1.0, 1.0, 0.5])
+    assert ctx.fresh_lengths[ctx.best_fresh(values, half)] == (0.5,)
+    # one packet at equal success: the shorter length wins
+    values = counts_m @ np.array([1.0, 0.5, 0.5])
+    assert ctx.fresh_lengths[ctx.best_fresh(values, half & (npkts_m <= 1))] == (0.25,)
