@@ -494,7 +494,11 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     chunks, which yields the same values as one draw per packet).  A block
     whose buffer holds only fresh packets skips `vl_schedule`: with no
     retransmission candidates the schedule is the best fresh multiset under
-    the full budget, which is precomputed for blocks in chunks.
+    the full budget, which is precomputed for blocks in chunks.  That
+    precomputation runs on `per_at`'s array path, which can differ from
+    `vl_schedule`'s scalar `per` in the last bit, so the two choices agree
+    unless two fresh multisets' values fall within an ulp of the 1e-12
+    tie margin of each other.
     """
     if channel.fading_mode is not FadingMode.FAST:
         raise ValueError("variable-length HARQ is simulated for fast fading only")
@@ -506,8 +510,10 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     uniforms = _uniforms(gen)
     r1 = table.rates[0]
     col = {length: c for c, length in enumerate(ctx.primary)}
-    # per fresh multiset: its scheduled (length, PER column) pairs in slot order
-    fresh_slots = [[(length, col[length]) for length in lengths] for lengths in ctx.fresh_lengths]
+    fresh_buffer = [PacketState() for _ in range(ctx.buffer_cap)]
+    # per fresh multiset: its full-buffer assignment, as vl_schedule pads it
+    fresh_assign = [[0.0] * (ctx.buffer_cap - len(lengths)) + list(lengths)
+                    for lengths in ctx.fresh_lengths]
 
     buffer = None  # None: every packet in the buffer is fresh
     acked_total = 0
@@ -520,24 +526,16 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
         per_rows, choice = ctx.fresh_chunk(g_chunk)
         for i, g, fresh_per, j in zip(range(start, blocks), g_chunk.tolist(),
                                       per_rows.tolist(), choice.tolist()):
+            dropped = 0
             if buffer is None:
-                acked = 0
-                nacked = []
-                for length, c in fresh_slots[j]:
-                    if next(uniforms) >= fresh_per[c]:
-                        acked += 1
-                    else:
-                        nacked.append(length)
-                if nacked and harq.max_rounds > 1:
-                    # vl_update's order: unscheduled, NACKed, then top-up packets
-                    n = len(fresh_slots[j])
-                    buffer = ([PacketState() for _ in range(ctx.buffer_cap - n)]
-                              + [PacketState(harq_count=1, first_len=length,
-                                             snr_sigma=_vl_aggregate(0.0, length, length, g))
-                                 for length in nacked]
-                              + [PacketState() for _ in range(n - len(nacked))])
+                # only fresh packets: the precomputed choice is vl_schedule's
+                oks = [next(uniforms) >= fresh_per[col[length]] for length in ctx.fresh_lengths[j]]
+                if all(oks):
+                    acked = len(oks)  # nothing to retransmit: still all fresh
                 else:
-                    drops += len(nacked)
+                    outcomes = [False] * (ctx.buffer_cap - len(oks)) + oks
+                    buffer, acked, dropped = vl_update(fresh_buffer, fresh_assign[j], g, outcomes,
+                                                       harq, table, ctx)
             else:
                 assign = vl_schedule(buffer, g, harq, table, ctx)
                 outcomes = []
@@ -551,9 +549,9 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                         f = _vl_failure_prob(pkt, length, g, table, ctx.len_to_l[pkt.first_len])
                     outcomes.append(next(uniforms) >= f)
                 buffer, acked, dropped = vl_update(buffer, assign, g, outcomes, harq, table, ctx)
-                drops += dropped
-                if all(pkt.harq_count == 0 for pkt in buffer):
-                    buffer = None
+            drops += dropped
+            if buffer is not None and all(pkt.harq_count == 0 for pkt in buffer):
+                buffer = None
             acked_total += acked
             batch_acked[min(i // batch_size, _N_BATCHES - 1)] += acked
 

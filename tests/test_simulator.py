@@ -232,6 +232,28 @@ def test_vl_results_are_pinned(harq, table, avg, seed, stream, want):
     assert simulate_vl(harq, table, _chan(avg, seed=seed), 10 ** 5, stream) == want
 
 
+def _fresh_choice_switches(ctx, grid):
+    """Both neighbouring floats at each SNR where the precomputed fresh
+    choice changes between grid points.  For smooth PERs these are the
+    points where a lower-ranked multiset's value comes within the 1e-12
+    tie margin of the best one, so a last-bit difference between per_at's
+    array path and vl_schedule's scalar per would show here first."""
+    _, choice = ctx.fresh_chunk(grid)
+    out = []
+    for k in np.flatnonzero(np.diff(choice)):
+        lo, hi = grid[k], grid[k + 1]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if ctx.fresh_chunk(np.array([mid]))[1][0] == choice[k]:
+                lo = mid
+            else:
+                hi = mid
+        out += [lo, hi]
+    return np.array(out)
+
+
 @pytest.mark.parametrize("harq, table", [
     (VL_HARQ, VL_TABLE), (VL_HARQ, VL_STEP_TABLE), (DEFAULT_VL_HARQ, TABLE),
     (DEFAULT_VL_HARQ, McsTable(rates=TABLE.rates, a_tilde=math.inf)),
@@ -240,8 +262,10 @@ def test_vl_results_are_pinned(harq, table, avg, seed, stream, want):
 def test_all_fresh_shortcut_matches_scheduler(harq, table):
     from harqlink.simulator import _VlContext
     ctx = _VlContext(harq, table)
-    # a log grid plus every decoding threshold, where step decoding ties
-    gammas = np.concatenate([np.geomspace(1e-3, 1e4, 300), table.thresholds])
+    # a log grid, every decoding threshold (where step decoding ties) and
+    # both sides of every switch of the precomputed choice
+    gammas = np.concatenate([np.geomspace(1e-3, 1e4, 300), table.thresholds,
+                             _fresh_choice_switches(ctx, np.geomspace(1e-2, 1e5, 2000))])
     per_rows, choice = ctx.fresh_chunk(gammas)
     assert per_rows.shape == (gammas.size, len(ctx.primary))
     fresh = [PacketState() for _ in range(ctx.buffer_cap)]
