@@ -18,8 +18,8 @@ from . import amc as amc_mod
 from .amc import DecisionRegions, RegionKind
 from .channel import ChannelConfig, FadingMode, db_to_linear, linear_to_db
 from .coding import CombiningType, McsTable
-from .harq_analysis import (HarqConfig, HarqVariant, fast_throughput,
-                            slow_throughput, two_round_bound)
+from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
+                            fast_throughput, slow_throughput, two_round_bound)
 from .optimizer import fast_optimize_regions, slow_optimal_regions
 from .simulator import simulate_packet_drop, simulate_vl
 
@@ -80,7 +80,7 @@ def _combining_for(scheme: str) -> CombiningType | None:
 
 
 def _regions_for(spec: SweepSpec, table: McsTable, combining: CombiningType | None,
-                 avg_snr: float) -> DecisionRegions:
+                 avg_snr: float, tables: FastFadingTables | None = None) -> DecisionRegions:
     if spec.region_source == "amc-closed-form":
         return amc_mod.amc_thresholds_closed_form(table)
     if spec.region_source == "per-target":
@@ -91,7 +91,7 @@ def _regions_for(spec: SweepSpec, table: McsTable, combining: CombiningType | No
         return amc_mod.amc_thresholds_exact(table)
     if spec.fading == "slow":
         return slow_optimal_regions(spec.K, combining, table)
-    return fast_optimize_regions(spec.K, combining, table, avg_snr, seed=spec.seed).regions
+    return fast_optimize_regions(spec.K, combining, table, avg_snr, tables=tables).regions
 
 
 def _sweep_point(spec: SweepSpec, scheme: str, snr_db: float, point_idx: int) -> dict:
@@ -110,11 +110,14 @@ def _sweep_point(spec: SweepSpec, scheme: str, snr_db: float, point_idx: int) ->
         row["throughput"] = amc_mod.amc_throughput(
             _regions_for(spec, table, None, avg), table, avg).value
     elif scheme in ("harq-rr", "harq-ir"):
-        regions = _regions_for(spec, table, combining, avg)
         if fading is FadingMode.SLOW:
+            regions = _regions_for(spec, table, combining, avg)
             row["throughput"] = slow_throughput(regions, spec.K, combining, table, avg).value
-        else:
-            row["throughput"] = fast_throughput(regions, spec.K, combining, table, avg).value
+        else:  # one table build serves the optimizer and the throughput
+            tables = FastFadingTables(table, spec.K, combining, avg)
+            regions = _regions_for(spec, table, combining, avg, tables)
+            row["throughput"] = fast_throughput(regions, spec.K, combining, table, avg,
+                                                tables=tables).value
     elif scheme == "harq-2r-bound":
         regions = _regions_for(spec, table, CombiningType.IR, avg)
         row["throughput"] = two_round_bound(regions, table, avg)

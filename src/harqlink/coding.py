@@ -145,6 +145,19 @@ def per_pdf_mass(l: int, a: float, b: float, table: McsTable, avg_snr: float) ->
     return total
 
 
+def per_pdf_cum(l: int, x, table: McsTable, avg_snr: float) -> np.ndarray:
+    """per_pdf_mass(l, 0, x) for every x of an array: the closed-form
+    integral of pdf(y) * PER_l(y) over [0, x)."""
+    th = table.threshold(l)
+    x = np.asarray(x, dtype=float)
+    total = -np.expm1(-np.minimum(x, th) / avg_snr)
+    if not math.isinf(table.a_tilde):
+        c = 1.0 / avg_snr + table.a_tilde / th
+        total += (math.exp(table.a_tilde - th * c) / (avg_snr * c)
+                  * -np.expm1(-np.maximum(x - th, 0.0) * c))
+    return total
+
+
 def per_erlang_mean(l: int, x, extra_rounds: int, table: McsTable, avg_snr: float):
     """E[PER_l(x + U)], U ~ Erlang(extra_rounds, avg_snr); vectorized in x."""
     x = np.asarray(x, dtype=float)

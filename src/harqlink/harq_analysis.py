@@ -176,8 +176,8 @@ class FastFadingTables:
     The grid is uniform in the MI domain (x_i = 2**(i dv) - 1, spanning
     [0, span * avg_snr]), which lets the IR averages be computed as a
     single FFT correlation per (k, l).  Cumulative integrals of
-    pdf * f_{k,l} make region averages O(1) per threshold, which the
-    Dinkelbach coordinate search relies on.
+    pdf * f_{k,l} make region averages O(1) per threshold; the fast
+    optimizer reads them on the grid and interpolates them off it.
     """
 
     def __init__(self, table: McsTable, K: int, combining: CombiningType,

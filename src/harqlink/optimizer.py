@@ -2,9 +2,10 @@
 
 Slow fading: the optimal regions are pointwise argmax sets of the per-rate
 throughput curves and come out as unions of intervals.  Fast fading: the
-throughput is a ratio of threshold-dependent sums, maximized by fractional
-programming -- bisection on lambda with a constrained cyclic coordinate
-(golden-section) maximization of F(gamma, lambda) at each step.
+throughput is a ratio N/C of threshold-dependent sums, maximized by an
+exact monotone DP over the FastFadingTables grid inside Dinkelbach's
+iteration lambda <- N/C (W. Dinkelbach, Management Science 13(7), 1967),
+then polished off the grid by golden-section search on the exact ratio.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .amc import DecisionRegions, RegionKind, ThroughputEstimate
 from .channel import exp_mass
-from .coding import CombiningType, McsTable
+from .coding import CombiningType, McsTable, per_pdf_cum
 from .harq_analysis import FastFadingTables, slow_throughput_at
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -28,20 +29,26 @@ class GridResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class DinkelbachState:
-    """Snapshot of the outer fractional-programming iteration."""
+    """One outer iteration: lam, the grid maximizer gamma of
+    F(., lam) = N - lam C, and F there."""
 
     lam: float
     gamma: tuple[float, ...]
     f_value: float
-    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class FastOptimizeResult:
+    """`certificate` is the grid maximum of F(., eta) at the returned ratio
+    eta, <= 0 up to rounding when no grid vector beats eta; `iterations`
+    is the Dinkelbach lam trace."""
+
     regions: DecisionRegions
     throughput: ThroughputEstimate
     kkt_residual: float
     kkt_ok: bool
+    certificate: float
+    iterations: tuple[DinkelbachState, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +120,7 @@ def _refine_boundary(a: float, b: float, winners) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast fading: Dinkelbach bisection + coordinate search
+# fast fading: monotone grid DP + Dinkelbach update + windowed polish
 # ---------------------------------------------------------------------------
 
 def _reward_cost(tables: FastFadingTables, gamma: np.ndarray) -> tuple[float, float]:
@@ -173,136 +180,107 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return best_x, best_v
 
 
-def _line_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Global 1-D maximization on [lo, hi]: a coarse bracketing scan (log and
-    linear spacing, since F need not be unimodal along a coordinate) followed
-    by golden-section refinement inside the best bracket."""
-    if hi - lo <= tol:
-        va, vb = f(lo), f(hi)
-        return (lo, va) if va >= vb else (hi, vb)
-    span = hi - lo
-    pts = np.unique(np.concatenate([
-        [lo, hi],
-        lo + span * np.logspace(-5.0, 0.0, 40),
-        np.linspace(lo, hi, 24),
-    ]))
-    vals = np.array([f(x) for x in pts])
-    i = int(np.argmax(vals))
-    a = pts[max(i - 1, 0)]
-    b = pts[min(i + 1, pts.size - 1)]
-    x, v = _golden_max(f, float(a), float(b), tol)
-    if vals[i] > v:
-        return float(pts[i]), float(vals[i])
-    return x, v
+def _curve_diffs(tables: FastFadingTables) -> tuple[np.ndarray, np.ndarray]:
+    """Row l-2 holds N_{l-1} - N_l and C_{l-1} - C_l on tables.x: what
+    threshold gamma_l at x adds to the reward and the duration.
+
+    N_l(x) = R_l (P(x) - E_{K,l}(x)) and C_l(x) = P(x) + sum_{k<K} E_{k,l}(x)
+    are what rate l collects on [0, x), with P(x) = P(SNR < x) and E_{k,l}(x)
+    the integral of pdf * f_{k,l} over [0, x).
+    """
+    t, K, x = tables.table, tables.K, tables.x
+    p = -np.expm1(-x / tables.avg_snr)
+    d_reward = np.empty((t.num_rates - 1, x.size))
+    d_cost = np.empty_like(d_reward)
+    for l in range(1, t.num_rates + 1):
+        err = [per_pdf_cum(l, x, t, tables.avg_snr)] + [tables.cum[k][l] for k in range(2, K + 1)]
+        reward, cost = t.rate(l) * (p - err[K - 1]), p + sum(err[:K - 1])
+        if l > 1:
+            d_reward[l - 2] = prev_reward - reward
+            d_cost[l - 2] = prev_cost - cost
+        prev_reward, prev_cost = reward, cost
+    return d_reward, d_cost
 
 
-def _coordinate_max(tables: FastFadingTables, lam: float, start: np.ndarray,
-                    x_cap: float, sweeps: int = 60,
-                    tol_scale: float = 1e-6) -> tuple[np.ndarray, float]:
-    gamma = start.copy()
-    L = gamma.size
-
-    def F_of(g):
-        r, c = _reward_cost(tables, g)
-        return r - lam * c
-
-    best = F_of(gamma)
-    for _ in range(sweeps):
-        improved = False
-        for l in range(1, L):  # gamma_2..gamma_L (0-based indices 1..L-1)
-            lo = gamma[l - 1]
-            hi = gamma[l + 1] if l + 1 < L else x_cap
-
-            def f1(x, l=l):
-                g = gamma.copy()
-                g[l] = x
-                r, c = _reward_cost(tables, g)
-                return r - lam * c
-
-            x, v = _line_max(f1, lo, hi, tol=tol_scale * max(hi, 1.0))
-            if v > best + 1e-12:
-                gamma[l] = x
-                best = v
-                improved = True
-        if not improved:
-            break
-    return gamma, best
+def _grid_argmax(d_reward: np.ndarray, d_cost: np.ndarray, lam: float,
+                 work: np.ndarray) -> list[int]:
+    """Grid indices i_2 <= ... <= i_L maximizing sum_l D_l(i_l), with
+    D = d_reward - lam * d_cost.  Row r of `work` becomes
+    V_r(i) = D_r(i) + max_{j<=i} V_{r-1}(j); the indices are read back by
+    prefix argmax, ties going to the lower index."""
+    np.multiply(d_cost, -lam, out=work)
+    work += d_reward
+    for r in range(1, len(work)):
+        work[r] += np.maximum.accumulate(work[r - 1])
+    idx = []
+    for r in range(len(work) - 1, -1, -1):
+        idx.append(int(np.argmax(work[r, :idx[-1] + 1 if idx else None])))
+    return idx[::-1]
 
 
 def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
-                          avg_snr: float, restarts: int = 5, seed: int = 0,
+                          avg_snr: float,
                           tables: FastFadingTables | None = None) -> FastOptimizeResult:
     """Throughput-maximizing threshold vector for fast fading.
 
-    Outer bisection on lambda in [0, R_L] against the sign of
-    max_gamma F(gamma, lambda); inner maximization by cyclic coordinate
-    golden-section search with random monotone restarts.  Endpoint hits
-    realize degenerate regions.  The interior stationarity residual is
-    checked afterwards; a large residual only flags the result.
+    With gamma_1 = 0, F(gamma, lam) = N(gamma) - lam C(gamma) is a constant
+    plus one term per threshold, so its maximum over 0 <= gamma_2 <= ... <=
+    gamma_L on the table grid is an exact DP (`_grid_argmax`).  Dinkelbach's
+    update lam <- N/C at that maximum, from lam = 0, stops when lam no longer
+    increases, at the grid-optimal ratio.  One polish sweep then runs
+    golden-section search on the exact ratio N/C, one threshold at a time,
+    within two grid cells of its DP index and inside its neighbours, and
+    keeps a move only if the ratio strictly increases.  A threshold equal to
+    its neighbour gives a degenerate region.  A large interior stationarity
+    residual only flags the result.
     """
     if tables is None:
         tables = FastFadingTables(table, K, combining, avg_snr)
-    L = table.num_rates
-    x_cap = float(tables.x[-1])
-    r_top = table.rate(L)
-    rng = np.random.default_rng(seed)
+    x = tables.x
+    d_reward, d_cost = _curve_diffs(tables)
+    work = np.empty_like(d_reward)
 
-    amc_like = np.concatenate([[0.0], np.sort(np.minimum(
-        np.asarray(table.thresholds[1:]), x_cap))]) if L > 1 else np.zeros(1)
-    warm = amc_like.copy()
+    def grid_max(lam):
+        idx = _grid_argmax(d_reward, d_cost, lam, work)
+        gamma = np.concatenate([[0.0], x[idx]])
+        return idx, gamma, _reward_cost(tables, gamma)
 
-    def inner_max(lam):
-        nonlocal warm
-        starts = [warm.copy(), np.zeros(L), amc_like.copy()]
-        for _ in range(restarts):
-            starts.append(np.concatenate([[0.0], np.sort(
-                rng.exponential(avg_snr, L - 1))]) if L > 1 else np.zeros(1))
-        best_g, best_v = None, -math.inf
-        for s in starts:
-            np.clip(s, 0.0, x_cap, out=s)
-            g, v = _coordinate_max(tables, lam, s, x_cap)
-            if v > best_v:
-                best_g, best_v = g, v
-        warm = best_g.copy()
-        return best_g, best_v
-
-    lo, hi = 0.0, r_top
-    gamma, f_val = inner_max(0.0)
-    state = DinkelbachState(lam=0.0, gamma=tuple(gamma), f_value=f_val, bracket=(lo, hi))
-    for _ in range(80):
-        if abs(state.f_value) < 1e-8 or (hi - lo) < 1e-10:
+    lam, idx, iterations = 0.0, None, []
+    while True:
+        new_idx, gamma, (reward, cost) = grid_max(lam)
+        iterations.append(DinkelbachState(lam=lam, gamma=tuple(map(float, gamma)),
+                                          f_value=reward - lam * cost))
+        if idx is not None and reward / cost <= lam:
             break
-        lam = 0.5 * (lo + hi)
-        gamma, f_val = inner_max(lam)
-        if f_val > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        state = DinkelbachState(lam=lam, gamma=tuple(gamma), f_value=f_val, bracket=(lo, hi))
+        lam, idx = reward / cost, new_idx
 
-    gamma = np.asarray(state.gamma)
-    if np.any(np.diff(gamma) < 0):
-        raise RuntimeError("internal error: non-monotone threshold vector")
-    reward, cost = _reward_cost(tables, gamma)
-    throughput = reward / cost
-    # polish: re-maximize F at lambda = current ratio with a tight tolerance
-    # (the ratio is a fixed point of this update at the optimum)
-    for _ in range(3):
-        gamma, _ = _coordinate_max(tables, throughput, gamma, x_cap, tol_scale=1e-10)
-        reward, cost = _reward_cost(tables, gamma)
-        new = reward / cost
-        if abs(new - throughput) < 1e-12:
-            throughput = new
-            break
-        throughput = new
+    bounds = np.concatenate([[0.0], x[idx], [math.inf]])
+    throughput = lam
+    for l, i in enumerate(idx, start=1):  # bounds[l] is gamma_{l+1}
+        lo = max(x[max(i - 2, 0)], bounds[l - 1])
+        hi = min(x[min(i + 2, x.size - 1)], bounds[l + 1])
 
+        def ratio(v, l=l):
+            g = bounds[:-1].copy()
+            g[l] = v
+            r, c = _reward_cost(tables, g)
+            return r / c
+
+        if hi > lo:
+            v, eta = _golden_max(ratio, lo, hi, tol=1e-10 * max(hi, 1.0))
+            if eta > throughput:
+                bounds[l], throughput = v, eta
+
+    gamma = bounds[:-1]
+    _, _, (reward, cost) = grid_max(throughput)
     resid = _kkt_residual(tables, gamma, throughput)
-    regions = DecisionRegions(RegionKind.THRESHOLDS, thresholds=tuple(gamma))
     return FastOptimizeResult(
-        regions=regions,
+        regions=DecisionRegions(RegionKind.THRESHOLDS, thresholds=tuple(gamma)),
         throughput=ThroughputEstimate(value=throughput),
         kkt_residual=resid,
         kkt_ok=resid < 1e-4,
+        certificate=reward - throughput * cost,
+        iterations=tuple(iterations),
     )
 
 

@@ -1,9 +1,12 @@
 """Every name in harqlink.__all__ must be referenced by a module of the
 package other than the one that defines it, or be listed in ALLOWED with
-the reason it stays public.  Names only tests use do not count."""
+the reason it stays public.  Names only tests use do not count.  Every
+name the benchmark tracer wraps must exist."""
 
 import ast
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import harqlink
@@ -16,7 +19,7 @@ README_ENTRY_POINTS = ("McsTable", "CombiningType", "amc_thresholds_exact",
 ALLOWED = {
     **{name: "library entry point shown in the README" for name in README_ENTRY_POINTS},
     "fast_cascade_conditional": "pointwise reference the FastFadingTables tests compare against",
-    "DinkelbachState": "outer-iteration snapshot of the fast optimizer (ROADMAP item 1)",
+    "DinkelbachState": "one outer Dinkelbach iteration, the items of FastOptimizeResult.iterations",
     "FastOptimizeResult": "return type of fast_optimize_regions",
     "SimResult": "return type of the simulate_* engines",
     "GridResolutionError": "raised by slow_optimal_regions for callers to catch",
@@ -55,3 +58,21 @@ def test_public_names_are_used_inside_the_package():
 
 def test_allowed_names_are_public():
     assert set(ALLOWED) <= set(harqlink.__all__)
+
+
+def test_tracer_layers_resolve(monkeypatch):
+    # perfbench's tracer skips a name the package no longer defines, so its
+    # per-layer metrics would silently vanish from the benchmark report
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"harqlink.{layer.module}")
+        owner, _, method = layer.attr.partition(".")
+        obj = getattr(module, owner, None)
+        if obj is None or (inspect.isclass(obj) and (method or "__init__") not in vars(obj)):
+            missing.append(layer.name)
+    assert not missing, f"names the tracer wraps but the package lacks: {missing}"
