@@ -9,9 +9,9 @@ from .coding import (CombiningType, McsTable, aggregate_snr, mutual_information,
                      mutual_information_inv, per, per_at, per_erlang_mean,
                      per_pdf_mass, snr_margin_delta)
 from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
-                            fast_cascade_conditional, fast_region_quantities,
-                            fast_throughput, slow_cascades, slow_throughput,
-                            slow_throughput_at, two_round_bound)
+                            fast_cascade_conditional, fast_throughput,
+                            slow_cascades, slow_throughput, slow_throughput_at,
+                            two_round_bound)
 from .optimizer import (DinkelbachState, FastOptimizeResult,
                         GridResolutionError, fast_optimize_regions,
                         slow_optimal_regions)

@@ -11,8 +11,6 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .channel import exp_mass
-
 
 class CombiningType(Enum):
     RR = "rr"   # repetition redundancy: SNRs add (MRC), h(x) = x
@@ -130,32 +128,24 @@ def per(l: int, gamma, table: McsTable):
     return per_at(gamma, table.thresholds[l - 1], table.a_tilde)
 
 
-def per_pdf_mass(l: int, a: float, b: float, table: McsTable, avg_snr: float) -> float:
-    """Closed-form integral of pdf(x) * PER_l(x) over [a, b) for exponential SNR."""
-    th = table.threshold(l)
-    total = 0.0
-    lo, hi = a, min(b, th)
-    if hi > lo:
-        total += exp_mass(lo, hi, avg_snr)
-    lo = max(a, th)
-    if b > lo and not math.isinf(table.a_tilde):
-        c = 1.0 / avg_snr + table.a_tilde / th
-        width = 1.0 if math.isinf(b) else 1.0 - math.exp(-(b - lo) * c)
-        total += math.exp(table.a_tilde - lo * c) * width / (avg_snr * c)
-    return total
-
-
-def per_pdf_cum(l: int, x, table: McsTable, avg_snr: float) -> np.ndarray:
-    """per_pdf_mass(l, 0, x) for every x of an array: the closed-form
-    integral of pdf(y) * PER_l(y) over [0, x)."""
-    th = table.threshold(l)
+def per_pdf_cum(l, x, table: McsTable, avg_snr: float) -> np.ndarray:
+    """Closed-form integral of pdf(y) * PER_l(y) over [0, x) for exponential
+    SNR, elementwise in x (inf allowed).  l is a rate index or an integer
+    array that broadcasts against x, e.g. a column of rates."""
+    th = table.threshold(l) if isinstance(l, int) else np.asarray(table.thresholds)[l - 1]
     x = np.asarray(x, dtype=float)
     total = -np.expm1(-np.minimum(x, th) / avg_snr)
     if not math.isinf(table.a_tilde):
         c = 1.0 / avg_snr + table.a_tilde / th
-        total += (math.exp(table.a_tilde - th * c) / (avg_snr * c)
+        total += (np.exp(table.a_tilde - th * c) / (avg_snr * c)
                   * -np.expm1(-np.maximum(x - th, 0.0) * c))
     return total
+
+
+def per_pdf_mass(l: int, a: float, b: float, table: McsTable, avg_snr: float) -> float:
+    """Closed-form integral of pdf(x) * PER_l(x) over [a, b) for exponential SNR."""
+    lo, hi = per_pdf_cum(l, (a, b), table, avg_snr)
+    return float(hi - lo)
 
 
 def per_erlang_mean(l: int, x, extra_rounds: int, table: McsTable, avg_snr: float):

@@ -5,7 +5,10 @@ a closed-form function of that SNR.  Fast fading: rounds see i.i.d. SNRs
 and the conditional cascade f_{k,l}(x) requires averaging over the later
 rounds; RR admits a closed form through the Erlang law of the summed SNR,
 IR is handled by numerical self-convolution of the per-round mutual
-information density on a uniform MI grid.
+information density on a uniform MI grid.  The fast-fading throughput is
+a renewal-reward ratio (S. M. Ross, Applied Probability Models with
+Optimization Applications, 1970): a cycle's expected reward over its
+expected duration, both sums of the region masses of FastFadingTables.cum_mass.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .amc import DecisionRegions, ThroughputEstimate
 from .channel import exp_mass
 from .coding import (CombiningType, McsTable, mutual_information,
                      mutual_information_inv, per, per_at, per_erlang_mean,
-                     per_pdf_mass)
+                     per_pdf_cum, per_pdf_mass)
 
 
 class HarqVariant(Enum):
@@ -175,9 +178,10 @@ class FastFadingTables:
 
     The grid is uniform in the MI domain (x_i = 2**(i dv) - 1, spanning
     [0, span * avg_snr]), which lets the IR averages be computed as a
-    single FFT correlation per (k, l).  Cumulative integrals of
-    pdf * f_{k,l} make region averages O(1) per threshold; the fast
-    optimizer reads them on the grid and interpolates them off it.
+    single FFT correlation per (k, l).  cum[k - 2, l - 1] is the integral
+    of pdf * f_{k,l} over [0, x_i) for k >= 2.  Every region mass that
+    fast_throughput and the fast optimizer use comes from `cum_mass`, and
+    their renewal-reward terms from `reward_cost`.
     """
 
     def __init__(self, table: McsTable, K: int, combining: CombiningType,
@@ -212,21 +216,38 @@ class FastFadingTables:
                     self.f_point[k][l] = np.clip(corr, 0.0, 1.0)
 
         pdf = np.exp(-self.x / avg_snr) / avg_snr
-        self.cum = {}
+        self.cum = np.empty((K - 1, L, n_grid))
         for k in range(2, K + 1):
-            self.cum[k] = {}
             for l in range(1, L + 1):
-                c = cumulative_trapezoid(pdf * self.f_point[k][l], self.x, initial=0.0)
-                self.cum[k][l] = c
+                self.cum[k - 2, l - 1] = cumulative_trapezoid(pdf * self.f_point[k][l], self.x,
+                                                              initial=0.0)
 
-    def cum_mass(self, k: int, l: int, a: float, b: float) -> float:
-        """Integral of pdf * f_{k,l} over [a, b); k=1 is analytic."""
-        if k == 1:
-            return per_pdf_mass(l, a, b, self.table, self.avg_snr)
-        c = self.cum[k][l]
-        hi = c[-1] if math.isinf(b) else float(np.interp(b, self.x, c))
-        lo = float(np.interp(a, self.x, c))
-        return hi - lo
+    def cum_mass(self, l, x) -> np.ndarray:
+        """Masses of pdf * f_{k,l} over [0, x) for k = 0..K, shaped (K + 1,) +
+        the broadcast shape of l (a rate index or an integer array) and x (inf
+        allowed).  Row 0 takes f_{0,l} = 1, so it is P(SNR < x); k = 1 is the
+        closed form; k >= 2 is np.interp of `cum`, in its exact arithmetic."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((self.K + 1,) + np.broadcast_shapes(np.shape(l), x.shape))
+        out[0] = -np.expm1(-x / self.avg_snr)
+        out[1] = per_pdf_cum(l, x, self.table, self.avg_snr)
+        g = self.x
+        if x is g:  # on its own grid the interpolation is the identity
+            out[2:] = self.cum[:, l - 1]  # l is one rate here
+        elif self.K > 1:
+            j = np.searchsorted(g[:-1], x, side="right") - 1
+            x0, c0, c1 = g[j], self.cum[:, l - 1, j], self.cum[:, l - 1, j + 1]
+            inner = (c1 - c0) / (g[j + 1] - x0) * (np.minimum(x, g[-1]) - x0) + c0
+            out[2:] = np.where(x < g[-1], inner, c1)
+        return out
+
+    def reward_cost(self, l, x) -> tuple[np.ndarray, np.ndarray]:
+        """Expected reward R_l (P - E_{K,l}) and duration P + sum_{k<K} E_{k,l}
+        of a renewal cycle that rate l collects on [0, x), elementwise, from
+        the `cum_mass` rows P, E_{k,l}; a region's share is their difference."""
+        m = self.cum_mass(l, x)
+        rates = np.asarray(self.table.rates)[np.asarray(l) - 1]
+        return rates * (m[0] - m[self.K]), m[:self.K].sum(axis=0)
 
     def cascade_at(self, l: int, x: float) -> np.ndarray:
         """Pointwise f_{k,l}(x) for k = 1..K by grid interpolation."""
@@ -234,49 +255,19 @@ class FastFadingTables:
                          for k in range(1, self.K + 1)])
 
 
-@dataclass(frozen=True)
-class RegionQuantities:
-    """Per-rate region probabilities and averaged cascades.
-
-    f has shape (K, L) with f[k-1, l-1] = f_{k,l}; degenerate regions get
-    p_l = 0 and f_{k,l} = 0 so downstream sums stay smooth.
-    """
-
-    p: np.ndarray
-    f: np.ndarray
-    t_bar: np.ndarray
-
-
-def fast_region_quantities(regions: DecisionRegions, K: int, combining: CombiningType,
-                           table: McsTable, avg_snr: float,
-                           tables: FastFadingTables | None = None) -> RegionQuantities:
-    if tables is None:
-        tables = FastFadingTables(table, K, combining, avg_snr)
-    L = table.num_rates
-    p = np.zeros(L)
-    f = np.zeros((K, L))
-    for l in range(1, L + 1):
-        ivs = regions.intervals_for(l)
-        p[l - 1] = sum(exp_mass(a, b, avg_snr) for a, b in ivs)
-        if p[l - 1] <= 0.0:
-            continue
-        for k in range(1, K + 1):
-            mass = sum(tables.cum_mass(k, l, a, b) for a, b in ivs)
-            f[k - 1, l - 1] = min(1.0, max(0.0, mass / p[l - 1]))
-    t_bar = 1.0 + f[:K - 1].sum(axis=0) if K > 1 else np.ones(L)
-    return RegionQuantities(p=p, f=f, t_bar=t_bar)
-
-
 def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
                     table: McsTable, avg_snr: float,
                     tables: FastFadingTables | None = None) -> ThroughputEstimate:
-    """Renewal-reward throughput over fast fading:
-    sum_l R_l (1 - f_{K,l}) p_l / sum_l T_bar_{K,l} p_l."""
-    q = fast_region_quantities(regions, K, combining, table, avg_snr, tables)
-    rates = np.asarray(table.rates)
-    num = float(np.sum(rates * (1.0 - q.f[K - 1]) * q.p))
-    den = float(np.sum(q.t_bar * q.p))
-    return ThroughputEstimate(value=num / den)
+    """Renewal-reward throughput over fast fading: the expected reward of a
+    cycle over its expected duration, both summed over every region's
+    intervals from `FastFadingTables.reward_cost`."""
+    if tables is None:
+        tables = FastFadingTables(table, K, combining, avg_snr)
+    l, a, b = zip(*[(l, a, b) for l in range(1, table.num_rates + 1)
+                    for a, b in regions.intervals_for(l)])
+    reward, cost = tables.reward_cost(np.array(l), (b, a))
+    return ThroughputEstimate(value=float(np.sum(reward[0] - reward[1])
+                                          / np.sum(cost[0] - cost[1])))
 
 
 def two_round_bound(regions: DecisionRegions, table: McsTable, avg_snr: float) -> float:

@@ -2,8 +2,10 @@
 
 Slow fading: the optimal regions are pointwise argmax sets of the per-rate
 throughput curves and come out as unions of intervals.  Fast fading: the
-throughput is a ratio N/C of threshold-dependent sums, maximized by an
-exact monotone DP over the FastFadingTables grid inside Dinkelbach's
+throughput is the ratio N/C of a cycle's expected reward and duration,
+the region sums of FastFadingTables.reward_cost that fast_throughput also
+takes.  One term per threshold makes it an exact monotone DP over the
+FastFadingTables grid (`_curve_diffs`, `_grid_argmax`) inside Dinkelbach's
 iteration lambda <- N/C (W. Dinkelbach, Management Science 13(7), 1967),
 then polished off the grid by golden-section search on the exact ratio.
 """
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amc import DecisionRegions, RegionKind, ThroughputEstimate
-from .channel import exp_mass
-from .coding import CombiningType, McsTable, per_pdf_cum
+from .coding import CombiningType, McsTable
 from .harq_analysis import FastFadingTables, slow_throughput_at
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -125,35 +126,9 @@ def _refine_boundary(a: float, b: float, winners) -> float:
 
 def _reward_cost(tables: FastFadingTables, gamma: np.ndarray) -> tuple[float, float]:
     """Expected per-cycle reward and duration for a threshold vector."""
-    t = tables.table
-    K = tables.K
-    L = t.num_rates
-    bounds = list(gamma) + [math.inf]
-    reward = 0.0
-    cost = 0.0
-    for l in range(1, L + 1):
-        a, b = bounds[l - 1], bounds[l]
-        if b <= a:
-            continue
-        p = exp_mass(a, b, tables.avg_snr)
-        err_k = tables.cum_mass(K, l, a, b)
-        reward += t.rate(l) * (p - err_k)
-        cost += p
-        for k in range(1, K):
-            cost += tables.cum_mass(k, l, a, b)
-    return reward, cost
-
-
-def fast_F(gamma, lam: float, K: int, combining: CombiningType, table: McsTable,
-           avg_snr: float, tables: FastFadingTables | None = None) -> float:
-    """Dinkelbach objective: expected reward minus lambda * expected duration."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma[0] != 0.0 or np.any(np.diff(gamma) < 0):
-        raise ValueError("threshold vector must be monotone with gamma_1 = 0")
-    if tables is None:
-        tables = FastFadingTables(table, K, combining, avg_snr)
-    reward, cost = _reward_cost(tables, gamma)
-    return reward - lam * cost
+    reward, cost = tables.reward_cost(np.arange(1, len(gamma) + 1),
+                                      (np.append(gamma[1:], math.inf), gamma))
+    return float(np.sum(reward[0] - reward[1])), float(np.sum(cost[0] - cost[1]))
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -182,22 +157,15 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 def _curve_diffs(tables: FastFadingTables) -> tuple[np.ndarray, np.ndarray]:
     """Row l-2 holds N_{l-1} - N_l and C_{l-1} - C_l on tables.x: what
-    threshold gamma_l at x adds to the reward and the duration.
-
-    N_l(x) = R_l (P(x) - E_{K,l}(x)) and C_l(x) = P(x) + sum_{k<K} E_{k,l}(x)
-    are what rate l collects on [0, x), with P(x) = P(SNR < x) and E_{k,l}(x)
-    the integral of pdf * f_{k,l} over [0, x).
-    """
-    t, K, x = tables.table, tables.K, tables.x
-    p = -np.expm1(-x / tables.avg_snr)
-    d_reward = np.empty((t.num_rates - 1, x.size))
+    threshold gamma_l at x adds to the reward and the duration, with N_l and
+    C_l what rate l collects on [0, x) (`FastFadingTables.reward_cost`)."""
+    d_reward = np.empty((tables.table.num_rates - 1, tables.x.size))
     d_cost = np.empty_like(d_reward)
-    for l in range(1, t.num_rates + 1):
-        err = [per_pdf_cum(l, x, t, tables.avg_snr)] + [tables.cum[k][l] for k in range(2, K + 1)]
-        reward, cost = t.rate(l) * (p - err[K - 1]), p + sum(err[:K - 1])
-        if l > 1:
-            d_reward[l - 2] = prev_reward - reward
-            d_cost[l - 2] = prev_cost - cost
+    prev_reward, prev_cost = tables.reward_cost(1, tables.x)
+    for r in range(len(d_reward)):  # one rate at a time keeps the memory small
+        reward, cost = tables.reward_cost(r + 2, tables.x)
+        np.subtract(prev_reward, reward, out=d_reward[r])
+        np.subtract(prev_cost, cost, out=d_cost[r])
         prev_reward, prev_cost = reward, cost
     return d_reward, d_cost
 

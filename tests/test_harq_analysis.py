@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from harqlink.amc import amc_throughput, amc_thresholds_exact
+from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
+                          amc_thresholds_exact)
 from harqlink.channel import exp_mass, make_stream
 from harqlink.coding import CombiningType, McsTable, per, per_pdf_mass
 from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
-                                    fast_cascade_conditional,
-                                    fast_region_quantities, fast_throughput,
+                                    fast_cascade_conditional, fast_throughput,
                                     slow_cascades, slow_throughput,
                                     slow_throughput_at, two_round_bound)
 
@@ -215,28 +215,82 @@ def test_fast_cascade_grid_convergence():
         assert a == pytest.approx(b, abs=5e-5)
 
 
-def test_fast_region_quantities_basics():
+def _region_masses(tables, regions):
+    """(K+1, L) masses of pdf * f_{k,l} over each rate's threshold region."""
+    t = np.array(regions.thresholds)
+    m = tables.cum_mass(np.arange(1, t.size + 1), (np.append(t[1:], math.inf), t))
+    return m[:, 0] - m[:, 1]
+
+
+def test_cum_mass_region_masses():
     regions = amc_thresholds_exact(TABLE)
-    q = fast_region_quantities(regions, 4, CombiningType.IR, TABLE, 10.0)
-    assert q.p.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(q.f >= 0) and np.all(q.f <= 1)
+    m = _region_masses(FastFadingTables(TABLE, 4, CombiningType.IR, 10.0), regions)
+    p, f = m[0], m[1:] / m[0]
+    assert p.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(f >= 0) and np.all(f <= 1)
     # cascade averages decrease in k for every rate
-    assert np.all(np.diff(q.f, axis=0) <= 1e-9)
+    assert np.all(np.diff(f, axis=0) <= 1e-9)
     # f_{1,l} agrees with the closed-form region mass
     t = list(regions.thresholds) + [math.inf]
     for l in range(1, 6):
         want = per_pdf_mass(l, t[l - 1], t[l], TABLE, 10.0) / exp_mass(t[l - 1], t[l], 10.0)
-        assert q.f[0, l - 1] == pytest.approx(want, rel=1e-9)
-    q1 = fast_region_quantities(regions, 1, CombiningType.IR, TABLE, 10.0)
-    assert np.all(q1.t_bar == 1.0)
+        assert f[0, l - 1] == pytest.approx(want, rel=1e-9)
+    # with K = 1 a cycle is one round, so its expected duration is p
+    tables = FastFadingTables(TABLE, 1, CombiningType.IR, 10.0)
+    _, cost = tables.reward_cost(np.arange(1, 6), (t[1:], t[:-1]))
+    assert np.array_equal(cost[0] - cost[1], _region_masses(tables, regions)[0])
 
 
-def test_fast_region_quantities_degenerate_region():
-    from harqlink.amc import DecisionRegions, RegionKind
+def test_cum_mass_degenerate_region():
     regions = DecisionRegions(RegionKind.THRESHOLDS, thresholds=(0.0, 1.0, 1.0, 4.0, 9.0))
-    q = fast_region_quantities(regions, 3, CombiningType.RR, TABLE, 10.0)
-    assert q.p[1] == 0.0
-    assert np.all(q.f[:, 1] == 0.0)
+    m = _region_masses(FastFadingTables(TABLE, 3, CombiningType.RR, 10.0), regions)
+    assert np.all(m[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("K, combining", [(1, CombiningType.IR), (2, CombiningType.RR),
+                                          (4, CombiningType.IR)])
+def test_cum_mass_is_closed_form_and_np_interp(K, combining):
+    # row 0 is P(SNR < x), row 1 the closed form of pdf * PER, rows k >= 2
+    # np.interp of the cumulative tables (constant past the grid, exact on it)
+    tables = FastFadingTables(TABLE, K, combining, 3.0, n_grid=1 << 12)
+    x = np.concatenate([make_stream(7, 0).exponential(3.0, 200), tables.x[::97],
+                        [0.0, tables.x[-1], 2.0 * tables.x[-1], math.inf]])
+    l = 1 + np.arange(x.size) % 5
+    m = tables.cum_mass(l, x)
+    assert m.shape == (K + 1, x.size)
+    assert np.array_equal(m[0], -np.expm1(-x / 3.0))
+    assert np.array_equal(m[1], [per_pdf_mass(int(r), 0.0, v, TABLE, 3.0) for r, v in zip(l, x)])
+    for k in range(2, K + 1):
+        want = [np.interp(v, tables.x, tables.cum[k - 2, r - 1]) for r, v in zip(l, x)]
+        assert np.array_equal(m[k], want)
+    assert np.array_equal(tables.cum_mass(5, tables.x), tables.cum_mass(5, tables.x.copy()))
+
+
+def test_fast_throughput_on_interval_regions_equals_threshold_form():
+    # splitting every threshold region into sub-intervals leaves the throughput
+    regions = amc_thresholds_exact(TABLE)
+    t = list(regions.thresholds) + [math.inf]
+    split = []
+    for a, b in zip(t, t[1:]):
+        mid = a + 5.0 if math.isinf(b) else 0.5 * (a + b)
+        split.append(((a, 0.3 * a + 0.7 * mid), (0.3 * a + 0.7 * mid, mid), (mid, b)))
+    intervals = DecisionRegions(RegionKind.INTERVALS, intervals=tuple(split))
+    for combining in (CombiningType.RR, CombiningType.IR):
+        tables = FastFadingTables(TABLE, 4, combining, 10.0)
+        want = fast_throughput(regions, 4, combining, TABLE, 10.0, tables=tables).value
+        got = fast_throughput(intervals, 4, combining, TABLE, 10.0, tables=tables).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_fast_throughput_single_rate_thresholds_with_inf():
+    # (0, ..., 0, inf, ..., inf) sends every block at rate m; with K = 1
+    # that is R_m (1 - E[PER_m])
+    for m in range(1, 6):
+        regions = DecisionRegions(RegionKind.THRESHOLDS,
+                                  thresholds=(0.0,) * m + (math.inf,) * (5 - m))
+        got = fast_throughput(regions, 1, CombiningType.IR, TABLE, 10.0).value
+        want = TABLE.rate(m) * (1.0 - per_pdf_mass(m, 0.0, math.inf, TABLE, 10.0))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_fast_throughput_regression_and_mc_agreement():

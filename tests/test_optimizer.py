@@ -6,8 +6,7 @@ import pytest
 from harqlink.amc import RegionKind, amc_thresholds_exact, classify
 from harqlink.coding import CombiningType, McsTable
 from harqlink.harq_analysis import FastFadingTables, fast_throughput
-from harqlink.optimizer import (fast_F, fast_optimize_regions,
-                                slow_optimal_regions)
+from harqlink.optimizer import fast_optimize_regions, slow_optimal_regions
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 
@@ -52,27 +51,18 @@ def test_slow_regions_two_rate_union_structure():
     assert all(interior.count(e) == 2 for e in set(interior))
 
 
-def test_fast_f_validates_threshold_vector():
-    tables = FastFadingTables(TABLE, 2, CombiningType.RR, 10.0)
-    with pytest.raises(ValueError):
-        fast_F([1.0, 2.0, 3.0, 4.0, 5.0], 0.5, 2, CombiningType.RR, TABLE,
-               10.0, tables=tables)
-    with pytest.raises(ValueError):
-        fast_F([0.0, 3.0, 2.0, 4.0, 5.0], 0.5, 2, CombiningType.RR, TABLE,
-               10.0, tables=tables)
-
-
-def test_fast_f_sign_brackets_throughput():
+def test_reward_cost_sign_brackets_throughput():
+    # F(lam) = reward - lam * duration of the renewal cycle changes sign at
+    # the throughput
     tables = FastFadingTables(TABLE, 4, CombiningType.IR, 10.0)
-    amc = amc_thresholds_exact(TABLE).thresholds
-    eta = fast_throughput(amc_thresholds_exact(TABLE), 4, CombiningType.IR,
-                          TABLE, 10.0, tables=tables).value
-    assert fast_F(amc, eta - 1e-3, 4, CombiningType.IR, TABLE, 10.0,
-                  tables=tables) > 0
-    assert fast_F(amc, eta + 1e-3, 4, CombiningType.IR, TABLE, 10.0,
-                  tables=tables) < 0
-    assert fast_F(amc, eta, 4, CombiningType.IR, TABLE, 10.0,
-                  tables=tables) == pytest.approx(0.0, abs=1e-9)
+    regions = amc_thresholds_exact(TABLE)
+    eta = fast_throughput(regions, 4, CombiningType.IR, TABLE, 10.0, tables=tables).value
+    t = np.array(regions.thresholds)
+    n, c = tables.reward_cost(np.arange(1, 6), (np.append(t[1:], math.inf), t))
+    reward, cost = np.sum(n[0] - n[1]), np.sum(c[0] - c[1])
+    assert reward - (eta - 1e-3) * cost > 0
+    assert reward - (eta + 1e-3) * cost < 0
+    assert reward - eta * cost == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])

@@ -1,7 +1,8 @@
 """Every name in harqlink.__all__ must be referenced by a module of the
-package other than the one that defines it, or be listed in ALLOWED with
-the reason it stays public.  Names only tests use do not count.  Every
-name the benchmark tracer wraps must exist."""
+package other than the one that defines it, and every module-level public
+function or class by some module of the package, its own included, or be
+listed in ALLOWED with the reason it stays public.  Names only tests use
+do not count.  Every name the benchmark tracer wraps must exist."""
 
 import ast
 import importlib.util
@@ -24,7 +25,6 @@ ALLOWED = {
     "SimResult": "return type of the simulate_* engines",
     "GridResolutionError": "raised by slow_optimal_regions for callers to catch",
     "snr_pdf": "the Rayleigh SNR law that exp_mass and the closed-form averages integrate",
-    "fast_region_quantities": "per-rate terms p_l, f_{k,l}, T_bar_l of the fast_throughput ratio",
     "vl_schedule": "length assignment of one variable-length block",
     "vl_update": "buffer update of one variable-length block",
 }
@@ -42,9 +42,12 @@ def _referenced_names(path: Path) -> set[str]:
     return names
 
 
+SRC = Path(harqlink.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
 def test_public_names_are_used_inside_the_package():
-    src = Path(harqlink.__file__).parent
-    refs = {p.stem: _referenced_names(p) for p in src.glob("*.py") if p.name != "__init__.py"}
+    refs = {p.stem: _referenced_names(p) for p in MODULES}
     unused = []
     for name in harqlink.__all__:
         obj = getattr(harqlink, name)
@@ -54,6 +57,17 @@ def test_public_names_are_used_inside_the_package():
         if not any(name in names for mod, names in refs.items() if mod != home):
             unused.append(name)
     assert not unused, f"public names no other module uses: {unused}"
+
+
+def test_module_level_definitions_are_used_inside_the_package():
+    # __init__ only re-exports, so its imports do not count as a use
+    used = set().union(*(_referenced_names(p) for p in MODULES))
+    unused = [f"{p.stem}.{node.name}" for p in MODULES
+              for node in ast.parse(p.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in used and node.name not in ALLOWED]
+    assert not unused, f"public definitions no package module uses: {unused}"
 
 
 def test_allowed_names_are_public():
