@@ -92,6 +92,11 @@ class DecisionRegions:
         lo, hi = t[l - 1], t[l]
         return ((lo, hi),) if hi > lo else ()
 
+    def labelled_intervals(self) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+        """(labels, lows, highs) of every non-empty interval, rate by rate."""
+        return tuple(zip(*[(l, a, b) for l in range(1, self.num_rates + 1)
+                           for a, b in self.intervals_for(l)]))
+
     def piecewise(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges, labels): SNR in [edges[i], edges[i+1]) belongs to labels[i]."""
         if self.kind is RegionKind.THRESHOLDS:
@@ -180,9 +185,9 @@ def amc_throughput(regions: DecisionRegions, table: McsTable, avg_snr: float) ->
     """
     if not avg_snr > 0:
         raise ValueError("avg_snr must be positive")
+    labels, lows, highs = regions.labelled_intervals()
+    f1 = per_pdf_mass(np.array(labels), lows, highs, table, avg_snr).tolist()
     total = 0.0
-    for l in range(1, table.num_rates + 1):
-        for a, b in regions.intervals_for(l):
-            total += table.rate(l) * (exp_mass(a, b, avg_snr)
-                                      - per_pdf_mass(l, a, b, table, avg_snr))
+    for l, a, b, f in zip(labels, lows, highs, f1):
+        total += table.rate(l) * (exp_mass(a, b, avg_snr) - f)
     return ThroughputEstimate(value=total)

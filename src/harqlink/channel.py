@@ -76,5 +76,8 @@ def make_stream(seed: int, stream_id: int) -> np.random.Generator:
 def draw_exponential(gen: np.random.Generator, avg_snr: float, size=None):
     """Inverse-CDF exponential draws, -avg*log(1-U); platform-reproducible."""
     u = gen.random(size)
-    return -avg_snr * np.log1p(-u)
+    np.negative(u, out=u)  # in place: no temporaries the size of the draw
+    np.log1p(u, out=u)
+    u *= -avg_snr
+    return u
 

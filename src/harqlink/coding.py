@@ -142,10 +142,13 @@ def per_pdf_cum(l, x, table: McsTable, avg_snr: float) -> np.ndarray:
     return total
 
 
-def per_pdf_mass(l: int, a: float, b: float, table: McsTable, avg_snr: float) -> float:
-    """Closed-form integral of pdf(x) * PER_l(x) over [a, b) for exponential SNR."""
+def per_pdf_mass(l, a, b, table: McsTable, avg_snr: float):
+    """Closed-form integral of pdf(x) * PER_l(x) over [a, b) for exponential
+    SNR.  Elementwise when l is an integer array and a, b are sequences of
+    its length, so one call covers many intervals."""
     lo, hi = per_pdf_cum(l, (a, b), table, avg_snr)
-    return float(hi - lo)
+    out = hi - lo
+    return out if out.ndim else float(out)
 
 
 def per_erlang_mean(l: int, x, extra_rounds: int, table: McsTable, avg_snr: float):

@@ -263,8 +263,7 @@ def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
     intervals from `FastFadingTables.reward_cost`."""
     if tables is None:
         tables = FastFadingTables(table, K, combining, avg_snr)
-    l, a, b = zip(*[(l, a, b) for l in range(1, table.num_rates + 1)
-                    for a, b in regions.intervals_for(l)])
+    l, a, b = regions.labelled_intervals()
     reward, cost = tables.reward_cost(np.array(l), (b, a))
     return ThroughputEstimate(value=float(np.sum(reward[0] - reward[1])
                                           / np.sum(cost[0] - cost[1])))
@@ -276,10 +275,11 @@ def two_round_bound(regions: DecisionRegions, table: McsTable, avg_snr: float) -
     Upper-bounds plain HARQ (RR or IR, any round budget) on the same
     regions; packet-dropping HARQ, which restarts cycles early, can exceed
     it."""
+    labels, lows, highs = regions.labelled_intervals()
+    f1 = per_pdf_mass(np.array(labels), lows, highs, table, avg_snr).tolist()
     num = 0.0
     f1_bar = 0.0
-    for l in range(1, table.num_rates + 1):
-        for a, b in regions.intervals_for(l):
-            num += table.rate(l) * exp_mass(a, b, avg_snr)
-            f1_bar += per_pdf_mass(l, a, b, table, avg_snr)
+    for l, a, b, f in zip(labels, lows, highs, f1):
+        num += table.rate(l) * exp_mass(a, b, avg_snr)
+        f1_bar += f
     return num / (1.0 + f1_bar)

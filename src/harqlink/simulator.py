@@ -23,6 +23,7 @@ from .coding import (CombiningType, McsTable, mutual_information,
 from .harq_analysis import HarqConfig, HarqVariant, slow_cascades
 
 _N_BATCHES = 50
+_CHUNK = 1 << 16  # rows of a vectorized pass: plain cycles, packet-drop starts
 
 
 @dataclass
@@ -122,14 +123,17 @@ def simulate_plain(regions: DecisionRegions, harq: HarqConfig, table: McsTable,
     while total_rounds < blocks:
         n = min(1 << 18, max(1024, blocks - total_rounds))
         snr_rows = draw_exponential(gen, channel.avg_snr, (n, K))
-        l_hat = classify(snr_rows[:, 0], regions)
-        if harq.combining is CombiningType.RR:
-            agg = np.cumsum(snr_rows, axis=1)
-        else:
-            agg = mutual_information_inv(np.cumsum(mutual_information(snr_rows), axis=1))
-        f = per_at(agg, thresholds[l_hat - 1][:, None], table.a_tilde)
         v = gen.random(n)
-        n_fail = (v[:, None] < f).sum(axis=1)  # nested events: prefix of failures
+        l_hat = classify(snr_rows[:, 0], regions)
+        n_fail = np.empty(n, dtype=np.intp)
+        for s in range(0, n, _CHUNK):  # slices keep the temporaries small
+            rows = slice(s, s + _CHUNK)
+            if harq.combining is CombiningType.RR:
+                agg = np.cumsum(snr_rows[rows], axis=1)
+            else:
+                agg = mutual_information_inv(np.cumsum(mutual_information(snr_rows[rows]), axis=1))
+            f = per_at(agg, thresholds[l_hat[rows] - 1][:, None], table.a_tilde)
+            n_fail[rows] = (v[rows, None] < f).sum(axis=1)  # nested events: prefix of failures
         success = n_fail < K
         rounds = np.where(success, n_fail + 1, K)
         reward = np.where(success, rates[l_hat - 1], 0.0)
@@ -153,8 +157,23 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
                          channel: ChannelConfig, blocks: int, stream_id: int = 0) -> SimResult:
     """Packet-dropping HARQ: a cycle is abandoned as soon as the observed
     MCS index exceeds the first-round index, and the fresh cycle starts in
-    the same block.  In slow fading the index never changes, so this is
-    distributionally identical to the plain protocol."""
+    the same block; it is also dropped when its K-th round fails, and the
+    fresh cycle starts in the next block.  In slow fading the index never
+    changes, so this is distributionally identical to the plain protocol.
+
+    RNG contract: all block SNRs are drawn first, then one uniform per
+    block, from the same stream.  Every block consumes its uniform whatever
+    the protocol state, so the cycle that would start fresh at block i has
+    an outcome fixed by blocks i .. i+K-1.  That outcome is computed for
+    every i in vectorized passes over chunks of blocks, and a walk follows
+    the next-start pointers from block 0, one step per multi-block cycle.
+    Rewards are added in block order, as a block-by-block loop adds them,
+    and a failed first round with K = 1 is a drop.  The passes run on
+    the array paths of `per_at` and `mutual_information_inv`, which can
+    differ from the scalar paths in the last bit, so the result equals that
+    of a block loop on the scalar paths unless a decision u < p_k / p_{k-1}
+    or an aggregate-SNR threshold test falls within an ulp.
+    """
     if harq.variant is not HarqVariant.PACKET_DROP:
         raise ValueError("simulate_packet_drop requires the packet-drop variant")
     if blocks < 10 ** 5:
@@ -167,70 +186,80 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
                                     blocks, stream_id)
     gen = make_stream(channel.seed, stream_id)
     rr = harq.combining is CombiningType.RR
-    thresholds = table.thresholds
-    rates = table.rates
-
+    thresholds = np.asarray(table.thresholds)
+    rates = np.asarray(table.rates)
     gammas = draw_exponential(gen, channel.avg_snr, blocks)
-    l_hats = classify(gammas, regions)
-    # per-block fresh-packet PERs and accumulation terms h(gamma), made
-    # before the uniforms are drawn to keep the peak memory down
-    p_fresh = per_at(gammas, np.asarray(thresholds)[l_hats - 1], table.a_tilde)
-    h = gammas if rr else mutual_information(gammas)
-    del gammas
-    u = gen.random(blocks)
-    # memoryviews index as Python scalars: fast scalar math, no list copies
-    l_hats, p_fresh, h, u = (memoryview(a) for a in (l_hats, p_fresh, h, u))
+    u = np.empty(0)  # the uniforms of the blocks that g covers, drawn as reached
 
     reward = 0.0
     acked = 0
     drops = 0
     batch_rewards = np.zeros(_N_BATCHES)
     batch_size = blocks // _N_BATCHES
+    pos = 0  # the block where the next fresh cycle starts
 
-    active = False
-    l1 = 0
-    k = 0
-    hsum = 0.0
-    prev_per = 1.0
-
-    for i in range(blocks):
-        lh = l_hats[i]
-
-        if active and lh > l1:
-            drops += 1
-            active = False  # restart: this block carries the fresh first round
-
-        if not active:
-            l1 = lh
-            hsum = h[i]
-            p = p_fresh[i]
-            k = 1
-            if u[i] >= p:
-                reward += rates[l1 - 1]
-                acked += 1
-                batch_rewards[min(i // batch_size, _N_BATCHES - 1)] += rates[l1 - 1]
+    for c0 in range(0, blocks, _CHUNK):
+        n = min(_CHUNK, blocks - c0)
+        i = np.arange(n)
+        # the cycles starting in this chunk, and the K - 1 blocks they reach past it
+        g = gammas[c0:c0 + n + K - 1]
+        u = np.concatenate((u, gen.random(g.size - u.size)))
+        l_hat = classify(g, regions)
+        th = thresholds[l_hat - 1]
+        p = per_at(g, th, table.a_tilde)
+        h = g if rr else mutual_information(g)
+        # per start: the block of the ACK or drop (-1 while unfinished past
+        # the last block), whether it is an ACK, and the next fresh start
+        end = np.full(n, -1)
+        ack = np.zeros(n, dtype=bool)
+        nxt = np.full(n, blocks - c0)
+        live, hsum, prev = i, h[:n], p[:n]
+        for k in range(K):
+            if k:
+                on = live + k < g.size  # the others stay unfinished
+                live, hsum, prev = live[on], hsum[on], prev[on]
+                j = live + k
+                rise = l_hat[j] > l_hat[live]  # a drop, and a fresh start in this block
+                end[live[rise]] = nxt[live[rise]] = j[rise]
+                live, hsum, prev, j = live[~rise], hsum[~rise], prev[~rise], j[~rise]
+                hsum = hsum + h[j]
+                p_k = per_at(hsum if rr else mutual_information_inv(hsum), th[live], table.a_tilde)
+                cond = np.divide(p_k, prev, out=np.zeros_like(p_k), where=prev > 0.0)
             else:
-                active = True
-                prev_per = p
-            continue
+                j = live
+                p_k = cond = prev
+            fail = u[j] < cond
+            stop = ~fail if k < K - 1 else np.ones_like(fail)
+            end[live[stop]] = j[stop]
+            ack[live[stop]] = ~fail[stop]
+            nxt[live[stop]] = j[stop] + 1
+            live, hsum, prev = live[fail], hsum[fail], p_k[fail]
 
-        # continuation round
-        k += 1
-        hsum += h[i]
-        agg = hsum if rr else mutual_information_inv(hsum)
-        p_new = per_at(agg, thresholds[l1 - 1], table.a_tilde)
-        cond = p_new / prev_per if prev_per > 0.0 else 0.0
-        if u[i] < cond:
-            if k >= K:
-                drops += 1
-                active = False
-            else:
-                prev_per = p_new
-        else:
-            reward += rates[l1 - 1]
-            acked += 1
-            batch_rewards[min(i // batch_size, _N_BATCHES - 1)] += rates[l1 - 1]
-            active = False
+        # the walk steps once per multi-block cycle (next start != i + 1);
+        # every start between two of them is a one-block cycle, so visited
+        first = memoryview(np.minimum.accumulate(np.where(nxt != i + 1, i, n)[::-1])[::-1])
+        step = memoryview(nxt)
+        s0 = s = pos - c0
+        hops = []
+        while s < n and (q := first[s]) < n:
+            hops.append(q)
+            s = step[q]
+        pos = c0 + max(s, n)  # s < n: one-block cycles run to the chunk's end
+        u = u[n:]
+        hops = np.array(hops, dtype=np.intp)
+        # no cycle starts strictly inside a walked multi-block cycle
+        inside = np.zeros(n + 1, dtype=np.int8)
+        inside[hops + 1], inside[np.minimum(nxt[hops], n)] = 1, -1
+        walk = np.flatnonzero(np.cumsum(inside[:n]) == 0)
+        walk = walk[walk >= s0]
+        won = walk[ack[walk]]
+        r = rates[l_hat[won] - 1]
+        acked += won.size
+        drops += int(np.count_nonzero(end[walk] >= 0)) - won.size
+        # left to right, in block order, as the block loop adds them; add.at
+        # is unbuffered and in order, so a batch across chunks sums the same
+        reward = float(np.cumsum(np.concatenate(([reward], r)))[-1])
+        np.add.at(batch_rewards, np.minimum((c0 + end[won]) // batch_size, _N_BATCHES - 1), r)
 
     ratios = batch_rewards / batch_size
     ci = 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)

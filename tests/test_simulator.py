@@ -116,6 +116,112 @@ def test_packet_drop_counts_are_consistent():
     assert 0.0 < res.throughput < TABLE.rates[-1]
 
 
+_RR, _IR, _INF = CombiningType.RR, CombiningType.IR, math.inf
+
+
+@pytest.mark.parametrize("combining, K, snr_db, a_tilde, seed, want", [
+    (_RR, 4, 16.0, 4.0, 1, SimResult(3.1039548276792943, 0.009499663051221071, 100017, 94889, 3510)),
+    (_IR, 4, 16.0, 4.0, 2, SimResult(3.1178349680554307, 0.012151775380493134, 100017, 95176, 3356)),
+    (_RR, 2, 16.0, _INF, 3, SimResult(3.3147739884219685, 0.009474362728286414, 100017, 98265, 1670)),
+    (_IR, 2, 16.0, _INF, 4, SimResult(3.3109796334623116, 0.006700169897708803, 100017, 98302, 1637)),
+    (_RR, 4, 0.0, _INF, 5, SimResult(0.5832658448063829, 0.0054364927638532335, 100017, 59347, 6710)),
+    (_IR, 4, 0.0, _INF, 6, SimResult(0.5946564084105702, 0.00408359661965293, 100017, 60869, 6423)),
+    (_RR, 2, 0.0, 4.0, 7, SimResult(0.45039593269144246, 0.004713047199324576, 100017, 48503, 18106)),
+    (_IR, 2, 0.0, 4.0, 8, SimResult(0.4735669936110861, 0.00433516590142259, 100017, 51004, 15706)),
+    (_IR, 3, 12.0, 2.5, 9, SimResult(2.331233690272654, 0.010918093506483921, 100017, 87632, 7409)),
+])
+def test_packet_drop_results_are_pinned(combining, K, snr_db, a_tilde, seed, want):
+    # exact values from the block-by-block engine; 10^5 + 17 blocks is not
+    # a multiple of any power-of-two chunk and crosses a 2^16 boundary
+    assert _packet_drop_pin_run(combining, K, snr_db, a_tilde, seed) == want
+
+
+@pytest.mark.parametrize("combining, snr_db, a_tilde, seed, want", [
+    (_RR, 0.0, 4.0, 10, SimResult(0.3858019136746753, 0.0043227649793074014, 100017, 41115, 58902)),
+    (_IR, 12.0, _INF, 11, SimResult(2.7971744803383425, 0.012081310937956688, 100017, 95703, 4314)),
+])
+def test_packet_drop_one_round_results_are_pinned(combining, snr_db, a_tilde, seed, want):
+    # taken once a failed first round with K = 1 became a drop; they equal
+    # the block-by-block engine with that fix
+    assert _packet_drop_pin_run(combining, 1, snr_db, a_tilde, seed) == want
+
+
+def _packet_drop_pin_run(combining, K, snr_db, a_tilde, seed):
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    harq = _harq(combining=combining, K=K, variant=HarqVariant.PACKET_DROP)
+    chan = _chan(10.0 ** (snr_db / 10.0), seed=seed)
+    return simulate_packet_drop(amc_thresholds_exact(table), harq, table, chan, 10 ** 5 + 17, 3)
+
+
+def _packet_drop_block_loop(regions, harq, table, channel, blocks, stream_id):
+    """Reference: packet-drop HARQ walked block by block on the scalar
+    per_at and mutual_information_inv, with the same draws and sums."""
+    from harqlink.amc import classify
+    from harqlink.channel import draw_exponential, make_stream
+    from harqlink.coding import mutual_information_inv, per_at
+    gen = make_stream(channel.seed, stream_id)
+    rr, K = harq.combining is CombiningType.RR, harq.max_rounds
+    gammas = draw_exponential(gen, channel.avg_snr, blocks)
+    l_hats = classify(gammas, regions)
+    p_fresh = per_at(gammas, np.asarray(table.thresholds)[l_hats - 1], table.a_tilde).tolist()
+    h = (gammas if rr else mutual_information(gammas)).tolist()
+    l_hats, u = l_hats.tolist(), gen.random(blocks).tolist()
+    reward, acked, drops, active = 0.0, 0, 0, False
+    batch_rewards, batch_size = np.zeros(50), blocks // 50
+    for i in range(blocks):
+        if active and l_hats[i] > l1:
+            drops, active = drops + 1, False
+        if active:
+            k, hsum = k + 1, hsum + h[i]
+            p = per_at(hsum if rr else mutual_information_inv(hsum), table.thresholds[l1 - 1],
+                       table.a_tilde)
+            fail = u[i] < (p / prev if prev > 0.0 else 0.0)
+        else:
+            l1, hsum, k, p, active = l_hats[i], h[i], 1, p_fresh[i], True
+            fail = u[i] < p
+        if not fail:
+            reward += table.rates[l1 - 1]
+            batch_rewards[min(i // batch_size, 49)] += table.rates[l1 - 1]
+            acked, active = acked + 1, False
+        elif k >= K:
+            drops, active = drops + 1, False
+        else:
+            prev = p
+    ci = 3.0 * float(np.std(batch_rewards / batch_size, ddof=1)) / math.sqrt(50)
+    return SimResult(reward / blocks, ci, blocks, acked, drops)
+
+
+@pytest.mark.parametrize("combining, K, snr_db, a_tilde, blocks", [
+    (_IR, 1, 4.0, 4.0, 10 ** 5),
+    (_RR, 1, 20.0, _INF, 10 ** 5),
+    (_RR, 6, -5.0, 4.0, 2 ** 17 + 2),   # a last chunk shorter than K - 1
+    (_IR, 6, 8.0, 2.5, 2 ** 17 + 2),
+    (_IR, 4, 12.0, _INF, 2 ** 17 + 1),
+])
+def test_packet_drop_matches_block_loop(combining, K, snr_db, a_tilde, blocks):
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    args = (amc_thresholds_exact(table), _harq(combining=combining, K=K,
+                                               variant=HarqVariant.PACKET_DROP),
+            table, _chan(10.0 ** (snr_db / 10.0), seed=K), blocks, 5)
+    assert simulate_packet_drop(*args) == _packet_drop_block_loop(*args)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 12.0])
+def test_packet_drop_one_round_is_amc(snr_db):
+    # with K = 1 a failed first round is a drop, so every block ends a
+    # cycle and the protocol is single-shot AMC
+    from harqlink.amc import amc_throughput
+    avg = 10.0 ** (snr_db / 10.0)
+    res = simulate_packet_drop(REGIONS, _harq(K=1, variant=HarqVariant.PACKET_DROP),
+                               TABLE, _chan(avg, seed=9), 10 ** 6, 4)
+    assert abs(res.throughput - amc_throughput(REGIONS, TABLE, avg).value) <= res.ci_half_width
+    assert res.drops > 0
+    assert res.acked_packets + res.drops == res.blocks
+    rr = simulate_packet_drop(REGIONS, _harq(CombiningType.RR, K=1, variant=HarqVariant.PACKET_DROP),
+                              TABLE, _chan(avg, seed=9), 10 ** 6, 4)
+    assert rr == res  # one round combines nothing
+
+
 VL_HARQ = HarqConfig(combining=CombiningType.IR, max_rounds=4,
                      variant=HarqVariant.VARIABLE_LENGTH,
                      lengths_primary=(1.0, 0.5, 0.25), lengths_aux=(0.125,))
