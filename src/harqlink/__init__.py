@@ -4,14 +4,13 @@ from .amc import (DecisionRegions, RegionKind, ThroughputEstimate,
                   amc_throughput, amc_thresholds_closed_form,
                   amc_thresholds_exact, amc_thresholds_per_target, classify)
 from .channel import (ChannelConfig, FadingMode, db_to_linear, exp_mass,
-                      linear_to_db, make_stream, snr_pdf)
+                      linear_to_db, make_stream)
 from .coding import (CombiningType, McsTable, aggregate_snr, mutual_information,
                      mutual_information_inv, per, per_at, per_erlang_mean,
                      per_pdf_mass, snr_margin_delta)
 from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
-                            fast_cascade_conditional, fast_throughput,
-                            slow_cascades, slow_throughput, slow_throughput_at,
-                            two_round_bound)
+                            fast_throughput, slow_cascades, slow_throughput,
+                            slow_throughput_at, two_round_bound)
 from .optimizer import (DinkelbachState, FastOptimizeResult,
                         GridResolutionError, fast_optimize_regions,
                         slow_optimal_regions)

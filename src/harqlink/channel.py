@@ -44,17 +44,6 @@ def linear_to_db(x_lin) -> float:
     return 10.0 * np.log10(x_lin)
 
 
-def snr_pdf(gamma, avg_snr: float):
-    """Exponential SNR density (1/avg) * exp(-gamma/avg) of Rayleigh fading."""
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
-        raise ValueError("SNR must be nonnegative")
-    if not avg_snr > 0:
-        raise ValueError("avg_snr must be positive")
-    out = np.exp(-gamma / avg_snr) / avg_snr
-    return out if out.ndim else float(out)
-
-
 def exp_mass(a: float, b: float, avg_snr: float) -> float:
     """P(a <= SNR < b) for exponential SNR; b may be inf."""
     lo = math.exp(-a / avg_snr)

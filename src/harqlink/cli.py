@@ -79,53 +79,68 @@ def _combining_for(scheme: str) -> CombiningType | None:
     return None
 
 
-def _regions_for(spec: SweepSpec, table: McsTable, combining: CombiningType | None,
-                 avg_snr: float, tables: FastFadingTables | None = None) -> DecisionRegions:
-    if spec.region_source == "amc-closed-form":
-        return amc_mod.amc_thresholds_closed_form(table)
-    if spec.region_source == "per-target":
-        return amc_mod.amc_thresholds_per_target(table, spec.per_target_ploss,
-                                                 spec.per_target_rounds)
-    # optimized regions need a combining type; schemes without one use amc-exact
-    if spec.region_source == "amc-exact" or combining is None:
-        return amc_mod.amc_thresholds_exact(table)
-    if spec.fading == "slow":
-        return slow_optimal_regions(spec.K, combining, table)
-    return fast_optimize_regions(spec.K, combining, table, avg_snr, tables=tables).regions
+class _SnrPoint:
+    """What the schemes of a sweep at one average SNR share: the MCS table
+    and, per combining type, the fast-fading tables and the optimized
+    regions, each made once (harq-2r-bound reuses harq-ir's regions)."""
+
+    def __init__(self, spec: SweepSpec, snr_db: float):
+        self.spec, self.snr_db = spec, snr_db
+        self.table = McsTable(rates=spec.rates, a_tilde=spec.a_tilde)
+        self.avg = db_to_linear(snr_db)
+        self._tables: dict[CombiningType, FastFadingTables] = {}
+        self._optimized: dict[CombiningType, DecisionRegions] = {}
+
+    def tables(self, combining: CombiningType) -> FastFadingTables:
+        if combining not in self._tables:
+            self._tables[combining] = FastFadingTables(self.table, self.spec.K, combining,
+                                                       self.avg)
+        return self._tables[combining]
+
+    def regions(self, combining: CombiningType | None) -> DecisionRegions:
+        spec, table = self.spec, self.table
+        if spec.region_source == "amc-closed-form":
+            return amc_mod.amc_thresholds_closed_form(table)
+        if spec.region_source == "per-target":
+            return amc_mod.amc_thresholds_per_target(table, spec.per_target_ploss,
+                                                     spec.per_target_rounds)
+        # optimized regions need a combining type; schemes without one use amc-exact
+        if spec.region_source == "amc-exact" or combining is None:
+            return amc_mod.amc_thresholds_exact(table)
+        if combining not in self._optimized:
+            self._optimized[combining] = (
+                slow_optimal_regions(spec.K, combining, table) if spec.fading == "slow"
+                else fast_optimize_regions(spec.K, combining, table, self.avg,
+                                           tables=self.tables(combining)).regions)
+        return self._optimized[combining]
 
 
-def _sweep_point(spec: SweepSpec, scheme: str, snr_db: float, point_idx: int) -> dict:
-    table = McsTable(rates=spec.rates, a_tilde=spec.a_tilde)
-    avg = db_to_linear(snr_db)
+def _sweep_point(point: _SnrPoint, scheme: str, point_idx: int) -> dict:
+    spec, table, avg = point.spec, point.table, point.avg
     combining = _combining_for(scheme)
     fading = FadingMode.SLOW if spec.fading == "slow" else FadingMode.FAST
     row = {
-        "snr_avg_db": snr_db, "scheme": scheme,
+        "snr_avg_db": point.snr_db, "scheme": scheme,
         "combining": combining.value if combining else "",
         "a_tilde": spec.a_tilde, "K": spec.K,
         "region_source": spec.region_source,
         "ci_half_width": "", "blocks": "",
     }
     if scheme == "amc":
-        row["throughput"] = amc_mod.amc_throughput(
-            _regions_for(spec, table, None, avg), table, avg).value
+        row["throughput"] = amc_mod.amc_throughput(point.regions(None), table, avg).value
     elif scheme in ("harq-rr", "harq-ir"):
+        regions = point.regions(combining)
         if fading is FadingMode.SLOW:
-            regions = _regions_for(spec, table, combining, avg)
             row["throughput"] = slow_throughput(regions, spec.K, combining, table, avg).value
-        else:  # one table build serves the optimizer and the throughput
-            tables = FastFadingTables(table, spec.K, combining, avg)
-            regions = _regions_for(spec, table, combining, avg, tables)
+        else:
             row["throughput"] = fast_throughput(regions, spec.K, combining, table, avg,
-                                                tables=tables).value
+                                                tables=point.tables(combining)).value
     elif scheme == "harq-2r-bound":
-        regions = _regions_for(spec, table, CombiningType.IR, avg)
-        row["throughput"] = two_round_bound(regions, table, avg)
+        row["throughput"] = two_round_bound(point.regions(CombiningType.IR), table, avg)
     elif scheme == "pd-harq":
         comb = CombiningType.IR  # combining used for aggregation in the sim
-        regions = _regions_for(spec, table, None, avg)
         harq = HarqConfig(combining=comb, max_rounds=spec.K, variant=HarqVariant.PACKET_DROP)
-        res = simulate_packet_drop(regions, harq, table,
+        res = simulate_packet_drop(point.regions(None), harq, table,
                                    ChannelConfig(avg, fading, spec.seed),
                                    spec.mc_blocks, stream_id=point_idx)
         row.update(throughput=res.throughput, ci_half_width=res.ci_half_width,
@@ -141,6 +156,15 @@ def _sweep_point(spec: SweepSpec, scheme: str, snr_db: float, point_idx: int) ->
     return row
 
 
+def _sweep_snr(spec: SweepSpec, j: int) -> list[dict]:
+    """Every scheme's row at the j-th SNR.  A row's point index, its MC
+    stream id, is its position in the (sorted scheme, SNR) enumeration."""
+    snrs = spec.snr_points_db()
+    point = _SnrPoint(spec, snrs[j])
+    return [_sweep_point(point, scheme, i * len(snrs) + j)
+            for i, scheme in enumerate(sorted(spec.schemes))]
+
+
 def _fmt(x) -> str:
     if x == "":
         return ""
@@ -150,25 +174,21 @@ def _fmt(x) -> str:
 
 
 def run_sweep(spec: SweepSpec) -> list[str]:
-    """All sweep rows as CSV lines (header included), sorted by (scheme, snr)."""
-    points = [(scheme, snr_db) for scheme in sorted(spec.schemes)
-              for snr_db in spec.snr_points_db()]
+    """All sweep rows as CSV lines (header included), sorted by (scheme, snr).
+    One task, in the process pool when there are several, runs each SNR."""
+    tasks = range(len(spec.snr_points_db()))
     workers = int(os.environ.get("HARQLINK_WORKERS", os.cpu_count() or 1))
-    if workers > 1 and len(points) > 1:
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point_star,
-                                 [(spec, s, g, i) for i, (s, g) in enumerate(points)]))
+            per_snr = list(pool.map(_sweep_snr, [spec] * len(tasks), tasks))
     else:
-        rows = [_sweep_point(spec, s, g, i) for i, (s, g) in enumerate(points)]
-    rows.sort(key=lambda r: (r["scheme"], r["snr_avg_db"]))
+        per_snr = [_sweep_snr(spec, j) for j in tasks]
+    rows = sorted((r for rows in per_snr for r in rows),
+                  key=lambda r: (r["scheme"], r["snr_avg_db"]))
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(",".join(_fmt(r[c]) for c in CSV_HEADER.split(",")))
     return lines
-
-
-def _sweep_point_star(args):
-    return _sweep_point(*args)
 
 
 def emit_thresholds(spec: SweepSpec) -> list[str]:
@@ -176,14 +196,13 @@ def emit_thresholds(spec: SweepSpec) -> list[str]:
 
     harq-2r-bound and vl-harq get no rows: vl-harq schedules without
     decision regions."""
-    table = McsTable(rates=spec.rates, a_tilde=spec.a_tilde)
     lines = ["snr_avg_db,scheme,l,gamma_l_db,degenerate"]
     schemes = [s for s in sorted(spec.schemes) if s not in ("harq-2r-bound", "vl-harq")]
     for snr_db in spec.snr_points_db():
-        avg = db_to_linear(snr_db)
+        point = _SnrPoint(spec, snr_db)
+        table = point.table
         for scheme in schemes:
-            combining = _combining_for(scheme)
-            regions = _regions_for(spec, table, combining, avg)
+            regions = point.regions(_combining_for(scheme))
             if regions.kind is RegionKind.THRESHOLDS:
                 t = regions.thresholds + (math.inf,)
                 for l in range(1, table.num_rates + 1):

@@ -13,14 +13,13 @@ expected duration, both sums of the region masses of FastFadingTables.cum_mass.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import cumulative_trapezoid, quad
-from scipy.signal import fftconvolve
 
 from .amc import DecisionRegions, ThroughputEstimate
 from .channel import exp_mass
@@ -135,53 +134,22 @@ def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
 # fast fading
 # ---------------------------------------------------------------------------
 
-def _mi_grid(avg_snr: float, n: int, span: float) -> tuple[np.ndarray, float]:
-    dv = mutual_information(span * avg_snr) / n
-    return np.arange(n) * dv, dv
-
-
-@functools.lru_cache(maxsize=64)
-def _mi_sum_density(avg_snr: float, extra_rounds: int, n: int, span: float) -> tuple[np.ndarray, float]:
-    """Density of the sum of `extra_rounds` i.i.d. per-round MI values on a
-    uniform grid; built by FFT self-convolution.  Cached, so read-only."""
-    v, dv = _mi_grid(avg_snr, n, span)
-    x = mutual_information_inv(v)
-    p_v = math.log(2.0) * (1.0 + x) * np.exp(-x / avg_snr) / avg_snr
-    p_s = p_v
-    for _ in range(extra_rounds - 1):
-        p_s = fftconvolve(p_s, p_v)[:n] * dv
-    p_s.flags.writeable = False
-    return p_s, dv
-
-
-def fast_cascade_conditional(l: int, x: float, k: int, combining: CombiningType,
-                             table: McsTable, avg_snr: float,
-                             n_grid: int = 1 << 14, span: float = 50.0) -> float:
-    """f_{k,l}(x): probability of k consecutive failures given first-round
-    SNR x, averaging over the k-1 later i.i.d. round SNRs."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if x < 0:
-        raise ValueError("SNR must be nonnegative")
-    if k == 1:
-        return float(per(l, x, table))
-    if combining is CombiningType.RR:
-        return float(per_erlang_mean(l, x, k - 1, table, avg_snr))
-    p_s, dv = _mi_sum_density(avg_snr, k - 1, n_grid, span)
-    s = np.arange(n_grid) * dv
-    agg = mutual_information_inv(mutual_information(x) + s)
-    return float(np.trapezoid(per(l, agg, table) * p_s, dx=dv))
-
-
 class FastFadingTables:
-    """Pointwise and cumulative f_{k,l} tables over a shared SNR grid.
+    """Cumulative f_{k,l} tables over a shared SNR grid.
 
     The grid is uniform in the MI domain (x_i = 2**(i dv) - 1, spanning
-    [0, span * avg_snr]), which lets the IR averages be computed as a
-    single FFT correlation per (k, l).  cum[k - 2, l - 1] is the integral
-    of pdf * f_{k,l} over [0, x_i) for k >= 2.  Every region mass that
-    fast_throughput and the fast optimizer use comes from `cum_mass`, and
-    their renewal-reward terms from `reward_cost`.
+    [0, span * avg_snr]).  cum[k - 2, l - 1] is the integral of
+    pdf * f_{k,l} over [0, x_i) for k >= 2; each f_{k,l} row is integrated
+    as soon as it is made.  RR rows are the Erlang closed form.  IR row
+    (k, l) is the correlation of PER_l on the grid extended to 2n points
+    with the density p_{k-1} of the MI summed over k - 1 rounds, and the
+    rows share their FFT spectra: one rfft per rate and one per reversed
+    density serve every (k, l).  The densities are self-convolutions
+    p_{s+1} = p_s * p_1 that reuse the spectrum of p_1.  Transform lengths
+    and arithmetic are fftconvolve's, so each row equals a per-(k, l)
+    fftconvolve bit for bit.  Every region mass that fast_throughput and
+    the fast optimizer use comes from `cum_mass`, and their renewal-reward
+    terms from `reward_cost`.
     """
 
     def __init__(self, table: McsTable, K: int, combining: CombiningType,
@@ -192,35 +160,34 @@ class FastFadingTables:
             raise ValueError("avg_snr must be positive")
         self.table = table
         self.K = K
-        self.combining = combining
         self.avg_snr = avg_snr
-        self.n_grid = n_grid
-        self.span = span
 
-        v, dv = _mi_grid(avg_snr, n_grid, span)
-        self.x = mutual_information_inv(v)
-        L = table.num_rates
-        # f_point[k][l] -> array over self.x; k = 1..K (1-based dicts)
-        self.f_point = {1: {l: per(l, self.x, table) for l in range(1, L + 1)}}
-        for k in range(2, K + 1):
-            self.f_point[k] = {}
-            if combining is CombiningType.RR:
-                for l in range(1, L + 1):
-                    self.f_point[k][l] = per_erlang_mean(l, self.x, k - 1, table, avg_snr)
-            else:
-                p_s, _ = _mi_sum_density(avg_snr, k - 1, n_grid, span)
-                x_ext = mutual_information_inv(np.arange(2 * n_grid) * dv)
-                for l in range(1, L + 1):
-                    g = per(l, x_ext, table)
-                    corr = fftconvolve(g, p_s[::-1], mode="valid")[:n_grid] * dv
-                    self.f_point[k][l] = np.clip(corr, 0.0, 1.0)
-
+        n = n_grid
+        dv = mutual_information(span * avg_snr) / n
+        self.x = mutual_information_inv(np.arange(n) * dv)
         pdf = np.exp(-self.x / avg_snr) / avg_snr
-        self.cum = np.empty((K - 1, L, n_grid))
+        L = table.num_rates
+        self.cum = np.empty((K - 1, L, n))
+        if K > 1 and combining is CombiningType.IR:
+            # fftconvolve's lengths for the correlation and the self-convolution
+            F, F2 = next_fast_len(3 * n - 1, True), next_fast_len(2 * n - 1, True)
+            x_ext = mutual_information_inv(np.arange(2 * n) * dv)
+            g_spectra = [rfft(per(l, x_ext, table), F) for l in range(1, L + 1)]
+            # p_1, the density of one round's MI
+            p_s = math.log(2.0) * (1.0 + self.x) * np.exp(-self.x / avg_snr) / avg_snr
+            p_v_spectrum = rfft(p_s, F2)
         for k in range(2, K + 1):
-            for l in range(1, L + 1):
-                self.cum[k - 2, l - 1] = cumulative_trapezoid(pdf * self.f_point[k][l], self.x,
-                                                              initial=0.0)
+            if combining is CombiningType.RR:
+                rows = (per_erlang_mean(l, self.x, k - 1, table, avg_snr) for l in range(1, L + 1))
+            else:
+                if k > 2:  # p_s becomes the density of the MI summed over k - 1 rounds
+                    p_s_spectrum = p_v_spectrum if k == 3 else rfft(p_s, F2)
+                    p_s = irfft(p_s_spectrum * p_v_spectrum, F2)[:n] * dv
+                s_spectrum = rfft(p_s[::-1], F)
+                rows = (np.clip(irfft(g * s_spectrum, F)[n - 1:2 * n - 1] * dv, 0.0, 1.0)
+                        for g in g_spectra)
+            for l, f in enumerate(rows):
+                self.cum[k - 2, l] = cumulative_trapezoid(pdf * f, self.x, initial=0.0)
 
     def cum_mass(self, l, x) -> np.ndarray:
         """Masses of pdf * f_{k,l} over [0, x) for k = 0..K, shaped (K + 1,) +
@@ -248,11 +215,6 @@ class FastFadingTables:
         m = self.cum_mass(l, x)
         rates = np.asarray(self.table.rates)[np.asarray(l) - 1]
         return rates * (m[0] - m[self.K]), m[:self.K].sum(axis=0)
-
-    def cascade_at(self, l: int, x: float) -> np.ndarray:
-        """Pointwise f_{k,l}(x) for k = 1..K by grid interpolation."""
-        return np.array([np.interp(x, self.x, self.f_point[k][l])
-                         for k in range(1, self.K + 1)])
 
 
 def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,

@@ -46,8 +46,6 @@ class FastOptimizeResult:
 
     regions: DecisionRegions
     throughput: ThroughputEstimate
-    kkt_residual: float
-    kkt_ok: bool
     certificate: float
     iterations: tuple[DinkelbachState, ...]
 
@@ -199,8 +197,7 @@ def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
     golden-section search on the exact ratio N/C, one threshold at a time,
     within two grid cells of its DP index and inside its neighbours, and
     keeps a move only if the ratio strictly increases.  A threshold equal to
-    its neighbour gives a degenerate region.  A large interior stationarity
-    residual only flags the result.
+    its neighbour gives a degenerate region.
     """
     if tables is None:
         tables = FastFadingTables(table, K, combining, avg_snr)
@@ -241,36 +238,9 @@ def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
 
     gamma = bounds[:-1]
     _, _, (reward, cost) = grid_max(throughput)
-    resid = _kkt_residual(tables, gamma, throughput)
     return FastOptimizeResult(
         regions=DecisionRegions(RegionKind.THRESHOLDS, thresholds=tuple(gamma)),
         throughput=ThroughputEstimate(value=throughput),
-        kkt_residual=resid,
-        kkt_ok=resid < 1e-4,
         certificate=reward - throughput * cost,
         iterations=tuple(iterations),
     )
-
-
-def _kkt_residual(tables: FastFadingTables, gamma: np.ndarray, lam: float) -> float:
-    """Max relative stationarity residual over interior, non-degenerate
-    thresholds: R_{l-1}(1-f_{K,l-1}(g)) - R_l(1-f_{K,l}(g)) =
-    lam (T_{K,l-1}(g) - T_{K,l}(g)) at g = gamma_l."""
-    t = tables.table
-    K = tables.K
-    L = t.num_rates
-    worst = 0.0
-    bounds = list(gamma) + [math.inf]
-    for l in range(2, L + 1):
-        g = gamma[l - 1]
-        if g <= bounds[l - 2] or g >= bounds[l]:
-            continue  # boundary/degenerate threshold: no stationarity claim
-        f_hi = tables.cascade_at(l, g)
-        f_lo = tables.cascade_at(l - 1, g)
-        t_hi = 1.0 + f_hi[:K - 1].sum()
-        t_lo = 1.0 + f_lo[:K - 1].sum()
-        lhs = t.rate(l - 1) * (1.0 - f_lo[K - 1]) - t.rate(l) * (1.0 - f_hi[K - 1])
-        rhs = lam * (t_lo - t_hi)
-        scale = max(abs(lhs), abs(rhs), lam, 1e-12)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst

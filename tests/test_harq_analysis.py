@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
+from scipy.signal import fftconvolve
 
 from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
                           amc_thresholds_exact)
 from harqlink.channel import exp_mass, make_stream
-from harqlink.coding import CombiningType, McsTable, per, per_pdf_mass
+from harqlink.coding import (CombiningType, McsTable, mutual_information,
+                             mutual_information_inv, per, per_erlang_mean,
+                             per_pdf_mass)
 from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
-                                    fast_cascade_conditional, fast_throughput,
-                                    slow_cascades, slow_throughput,
+                                    fast_throughput, slow_cascades, slow_throughput,
                                     slow_throughput_at, two_round_bound)
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
@@ -31,6 +33,32 @@ SLOW_IR_K4_AT_10 = 2.07949738614464
 FAST_RR_K4_AT_10 = 1.9490364880913607
 FAST_IR_K4_AT_10 = 1.9621134394682822
 TRB_AT_10 = 1.968489989478699
+
+
+def _mi_sum_density(avg_snr, rounds, n, span=50.0):
+    """Density of the MI summed over `rounds` i.i.d. rounds on the uniform
+    MI grid of FastFadingTables, by repeated fftconvolve, and the grid step."""
+    dv = mutual_information(span * avg_snr) / n
+    x = mutual_information_inv(np.arange(n) * dv)
+    p_v = math.log(2.0) * (1.0 + x) * np.exp(-x / avg_snr) / avg_snr
+    p_s = p_v
+    for _ in range(rounds - 1):
+        p_s = fftconvolve(p_s, p_v)[:n] * dv
+    return p_s, dv
+
+
+def fast_cascade_conditional(l, x, k, combining, table, avg_snr, n_grid=1 << 14, span=50.0):
+    """Pointwise reference f_{k,l}(x): the probability of k consecutive
+    failures given first-round SNR x, averaged over the k - 1 later i.i.d.
+    round SNRs (Erlang closed form for RR, a trapezoid over the summed-MI
+    density for IR)."""
+    if k == 1:
+        return float(per(l, x, table))
+    if combining is CombiningType.RR:
+        return float(per_erlang_mean(l, x, k - 1, table, avg_snr))
+    p_s, dv = _mi_sum_density(avg_snr, k - 1, n_grid, span)
+    agg = mutual_information_inv(mutual_information(x) + np.arange(n_grid) * dv)
+    return float(np.trapezoid(per(l, agg, table) * p_s, dx=dv))
 
 
 def test_harq_config_validation():
@@ -213,6 +241,34 @@ def test_fast_cascade_grid_convergence():
         a = fast_cascade_conditional(4, 1.0, 3, combining, TABLE, 5.0, n_grid=1 << 14)
         b = fast_cascade_conditional(4, 1.0, 3, combining, TABLE, 5.0, n_grid=1 << 15)
         assert a == pytest.approx(b, abs=5e-5)
+
+
+def test_ir_tables_are_per_pair_fftconvolve_and_nest_in_k():
+    # every IR row is the fftconvolve correlation of PER_l on the doubled
+    # grid with the summed-MI density, integrated, bit for bit, and the
+    # table of K' < K rounds is the prefix of the K-round table
+    n, avg = 1 << 12, 3.0
+    tables = FastFadingTables(TABLE, 4, CombiningType.IR, avg, n_grid=n)
+    pdf = np.exp(-tables.x / avg) / avg
+    for k in range(2, 5):
+        p_s, dv = _mi_sum_density(avg, k - 1, n)
+        x_ext = mutual_information_inv(np.arange(2 * n) * dv)
+        for l in range(1, 6):
+            corr = fftconvolve(per(l, x_ext, TABLE), p_s[::-1], mode="valid")[:n] * dv
+            want = cumulative_trapezoid(pdf * np.clip(corr, 0.0, 1.0), tables.x, initial=0.0)
+            assert np.array_equal(tables.cum[k - 2, l - 1], want), (k, l)
+    for K in (2, 3):
+        short = FastFadingTables(TABLE, K, CombiningType.IR, avg, n_grid=n)
+        assert np.array_equal(short.cum, tables.cum[:K - 1])
+
+
+@pytest.mark.parametrize("combining", [CombiningType.IR, CombiningType.RR])
+def test_one_rate_table_is_a_row_of_the_full_table(combining):
+    full = FastFadingTables(TABLE, 3, combining, 10.0, n_grid=1 << 12)
+    for l in range(1, 6):
+        single = FastFadingTables(McsTable(rates=(TABLE.rate(l),), a_tilde=4.0), 3,
+                                  combining, 10.0, n_grid=1 << 12)
+        assert np.array_equal(single.cum[:, 0], full.cum[:, l - 1]), l
 
 
 def _region_masses(tables, regions):

@@ -19,12 +19,10 @@ README_ENTRY_POINTS = ("McsTable", "CombiningType", "amc_thresholds_exact",
 
 ALLOWED = {
     **{name: "library entry point shown in the README" for name in README_ENTRY_POINTS},
-    "fast_cascade_conditional": "pointwise reference the FastFadingTables tests compare against",
     "DinkelbachState": "one outer Dinkelbach iteration, the items of FastOptimizeResult.iterations",
     "FastOptimizeResult": "return type of fast_optimize_regions",
     "SimResult": "return type of the simulate_* engines",
     "GridResolutionError": "raised by slow_optimal_regions for callers to catch",
-    "snr_pdf": "the Rayleigh SNR law that exp_mass and the closed-form averages integrate",
     "vl_schedule": "length assignment of one variable-length block",
     "vl_update": "buffer update of one variable-length block",
 }
