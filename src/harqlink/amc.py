@@ -97,24 +97,15 @@ class DecisionRegions:
         return tuple(zip(*[(l, a, b) for l in range(1, self.num_rates + 1)
                            for a, b in self.intervals_for(l)]))
 
-    def piecewise(self) -> tuple[np.ndarray, np.ndarray]:
-        """(edges, labels): SNR in [edges[i], edges[i+1]) belongs to labels[i]."""
-        if self.kind is RegionKind.THRESHOLDS:
-            edges = np.asarray(self.thresholds)
-            labels = np.arange(1, len(self.thresholds) + 1)
-            keep = np.ones(len(edges), bool)
-            keep[:-1] = np.diff(edges) > 0
-            return edges[keep], labels[keep]
-        flat = sorted((a, b, l + 1) for l, per_l in enumerate(self.intervals) for a, b in per_l)
-        return np.array([f[0] for f in flat]), np.array([f[2] for f in flat])
-
 
 def classify(gamma, regions: DecisionRegions):
     """MCS index of the region containing gamma; half-open boundaries.
 
     Vectorized over gamma.
     """
-    edges, labels = regions.piecewise()
+    labels, lows, _ = regions.labelled_intervals()
+    order = np.argsort(lows)
+    edges, labels = np.array(lows)[order], np.array(labels)[order]
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise ValueError("SNR must be nonnegative")

@@ -3,6 +3,9 @@
 dB <-> linear SNR conversion happens here and nowhere else.  Output CSV is
 deterministic for a fixed spec: rows are sorted by (scheme, snr) and each
 sweep point derives its RNG stream from (seed, point index).
+
+Exit codes: 0 on success, 2 for bad input (an unknown or malformed flag,
+config line or value, or an unwritable output), 3 for a numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import amc as amc_mod
 from .amc import DecisionRegions, RegionKind
@@ -25,6 +29,7 @@ from .simulator import simulate_packet_drop, simulate_vl
 
 SCHEMES = ("amc", "harq-rr", "harq-ir", "harq-2r-bound", "pd-harq", "vl-harq")
 REGION_SOURCES = ("amc-exact", "amc-closed-form", "per-target", "optimized")
+FADINGS = ("fast", "slow")
 CSV_HEADER = "snr_avg_db,scheme,combining,a_tilde,K,region_source,throughput,ci_half_width,blocks"
 
 DEFAULT_RATES = tuple(l * 0.75 for l in range(1, 6))
@@ -61,6 +66,8 @@ class SweepSpec:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
         if self.region_source not in REGION_SOURCES:
             raise ValueError(f"unknown region source {self.region_source}")
+        if self.fading not in FADINGS:
+            raise ValueError(f"unknown fading {self.fading}")
         mc = {"pd-harq", "vl-harq"} & set(self.schemes)
         if mc and self.mc_blocks < 10 ** 5:
             raise ValueError("mc_blocks must be >= 1e5 for Monte Carlo schemes")
@@ -80,9 +87,10 @@ def _combining_for(scheme: str) -> CombiningType | None:
 
 
 class _SnrPoint:
-    """What the schemes of a sweep at one average SNR share: the MCS table
-    and, per combining type, the fast-fading tables and the optimized
-    regions, each made once (harq-2r-bound reuses harq-ir's regions)."""
+    """What the schemes of a sweep at one average SNR share: the MCS table,
+    the amc-exact, amc-closed-form or per-target regions and, per combining
+    type, the fast-fading tables and the optimized regions, each made once
+    (harq-2r-bound reuses harq-ir's regions)."""
 
     def __init__(self, spec: SweepSpec, snr_db: float):
         self.spec, self.snr_db = spec, snr_db
@@ -99,20 +107,25 @@ class _SnrPoint:
 
     def regions(self, combining: CombiningType | None) -> DecisionRegions:
         spec, table = self.spec, self.table
-        if spec.region_source == "amc-closed-form":
-            return amc_mod.amc_thresholds_closed_form(table)
-        if spec.region_source == "per-target":
-            return amc_mod.amc_thresholds_per_target(table, spec.per_target_ploss,
-                                                     spec.per_target_rounds)
         # optimized regions need a combining type; schemes without one use amc-exact
-        if spec.region_source == "amc-exact" or combining is None:
-            return amc_mod.amc_thresholds_exact(table)
+        if spec.region_source != "optimized" or combining is None:
+            return self._fixed_regions
         if combining not in self._optimized:
             self._optimized[combining] = (
                 slow_optimal_regions(spec.K, combining, table) if spec.fading == "slow"
                 else fast_optimize_regions(spec.K, combining, table, self.avg,
                                            tables=self.tables(combining)).regions)
         return self._optimized[combining]
+
+    @cached_property
+    def _fixed_regions(self) -> DecisionRegions:
+        spec, table = self.spec, self.table
+        if spec.region_source == "amc-closed-form":
+            return amc_mod.amc_thresholds_closed_form(table)
+        if spec.region_source == "per-target":
+            return amc_mod.amc_thresholds_per_target(table, spec.per_target_ploss,
+                                                     spec.per_target_rounds)
+        return amc_mod.amc_thresholds_exact(table)
 
 
 def _sweep_point(point: _SnrPoint, scheme: str, point_idx: int) -> dict:
@@ -253,49 +266,37 @@ def _verify() -> int:
     return 0 if ok else 1
 
 
-def _load_config(path: str) -> dict:
-    out = {}
+def _config_args(path: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` tokens."""
+    out = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}:{n}: want key = value, got {line!r}")
+            out.append(f"--{key.strip()}={val.strip()}")
     return out
 
 
+def _rates(text: str) -> tuple[float, ...]:
+    return tuple(float(r) for r in text.split(","))
+
+
 def _build_spec(args) -> SweepSpec:
-    cfg = _load_config(args.config) if args.config else {}
-
-    def pick(name, flag, cast, default):
-        if flag is not None:
-            return flag
-        if name in cfg:
-            return cast(cfg[name])
-        return default
-
-    snr = pick("snr-db", args.snr_db, str, "-5:1:30")
     try:
-        start, step, stop = (float(x) for x in snr.split(":"))
+        start, step, stop = (float(x) for x in args.snr_db.split(":"))
     except ValueError as exc:
-        raise ValueError(f"bad --snr-db spec {snr!r} (want start:step:stop)") from exc
-    schemes = pick("schemes", args.schemes, str, "amc")
-    rates = pick("rates", args.rates, str, None)
-    a_tilde = pick("a-tilde", args.a_tilde, str, "4")
+        raise ValueError(f"bad --snr-db spec {args.snr_db!r} (want start:step:stop)") from exc
     return SweepSpec(
         snr_db_start=start, snr_db_step=step, snr_db_stop=stop,
-        schemes=tuple(s.strip() for s in schemes.split(",") if s.strip()),
-        region_source=pick("regions", args.regions, str, "amc-exact"),
-        a_tilde=math.inf if a_tilde in ("inf", "Inf") else float(a_tilde),
-        K=int(pick("k", args.k, int, 4)),
-        mc_blocks=int(pick("mc-blocks", args.mc_blocks, int, 10 ** 5)),
-        seed=int(pick("seed", args.seed, int, 0)),
-        fading=pick("fading", args.fading, str, "fast"),
-        rates=tuple(float(r) for r in rates.split(",")) if rates else DEFAULT_RATES,
-        per_target_ploss=float(pick("per-target-ploss", args.per_target_ploss, float, 0.1)),
-        per_target_rounds=int(pick("per-target-rounds", args.per_target_rounds, int, 1)),
-        output=pick("out", args.out, str, "-"),
+        schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
+        region_source=args.regions, a_tilde=args.a_tilde, K=args.k,
+        mc_blocks=args.mc_blocks, seed=args.seed, fading=args.fading, rates=args.rates,
+        per_target_ploss=args.per_target_ploss, per_target_rounds=args.per_target_rounds,
+        output=args.out,
     )
 
 
@@ -309,25 +310,27 @@ def _write(lines: list[str], output: str):
 
 
 def _add_common(p):
-    p.add_argument("--snr-db", help="start:step:stop in dB", default=None)
-    p.add_argument("--schemes", default=None, help=f"comma list of {','.join(SCHEMES)}")
-    p.add_argument("--regions", default=None, choices=REGION_SOURCES,
-                   help="decision regions (default amc-exact); every scheme but vl-harq, "
+    p.add_argument("--snr-db", default="-5:1:30", help="start:step:stop in dB")
+    p.add_argument("--schemes", default="amc", help=f"comma list of {','.join(SCHEMES)}")
+    p.add_argument("--regions", default=SweepSpec.region_source, choices=REGION_SOURCES,
+                   help="decision regions (default %(default)s); every scheme but vl-harq, "
                         "which needs none, uses amc-closed-form and per-target as given; "
                         "with optimized, harq-rr and harq-ir use regions optimized for "
                         "their combining, harq-2r-bound the IR-optimized regions, and amc "
                         "and pd-harq the amc-exact thresholds; pd-harq always combines "
                         "with IR")
-    p.add_argument("--a-tilde", default=None, help="PER decay (number or 'inf')")
-    p.add_argument("--k", type=int, default=None, help="max HARQ rounds")
-    p.add_argument("--mc-blocks", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fading", default=None, choices=("fast", "slow"))
-    p.add_argument("--rates", default=None, help="comma list of rates (bits/symbol)")
-    p.add_argument("--per-target-ploss", type=float, default=None)
-    p.add_argument("--per-target-rounds", type=int, default=None)
+    p.add_argument("--a-tilde", type=float, default=SweepSpec.a_tilde,
+                   help="PER decay (number or 'inf')")
+    p.add_argument("--k", type=int, default=SweepSpec.K, help="max HARQ rounds")
+    p.add_argument("--mc-blocks", type=int, default=SweepSpec.mc_blocks)
+    p.add_argument("--seed", type=int, default=SweepSpec.seed)
+    p.add_argument("--fading", default=SweepSpec.fading, choices=FADINGS)
+    p.add_argument("--rates", type=_rates, default=SweepSpec.rates,
+                   help="comma list of rates (bits/symbol)")
+    p.add_argument("--per-target-ploss", type=float, default=SweepSpec.per_target_ploss)
+    p.add_argument("--per-target-rounds", type=int, default=SweepSpec.per_target_rounds)
     p.add_argument("--config", default=None, help="key=value config file; flags override")
-    p.add_argument("--out", default=None, help="output CSV path ('-' for stdout)")
+    p.add_argument("--out", default=SweepSpec.output, help="output CSV path ('-' for stdout)")
 
 
 def _bind_snr_db(argv: list[str]) -> list[str]:
@@ -345,25 +348,24 @@ def main(argv=None) -> int:
     _add_common(sub.add_parser("sweep", help="throughput sweep to CSV"))
     _add_common(sub.add_parser("thresholds", help="decision-region dump to CSV"))
     sub.add_parser("verify", help="run quick self-checks")
-    args = parser.parse_args(_bind_snr_db(sys.argv[1:] if argv is None else argv))
+    argv = _bind_snr_db(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
 
     if args.command == "verify":
         return _verify()
     try:
+        if args.config:
+            # config tokens go before the command line's, so flags win
+            args = parser.parse_args(argv[:1] + _config_args(args.config) + argv[1:])
         spec = _build_spec(args)
+        lines = run_sweep(spec) if args.command == "sweep" else emit_thresholds(spec)
+        _write(lines, spec.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        lines = run_sweep(spec) if args.command == "sweep" else emit_thresholds(spec)
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    try:
-        _write(lines, spec.output)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

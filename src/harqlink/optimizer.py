@@ -54,8 +54,7 @@ class FastOptimizeResult:
 # slow fading: pointwise argmax regions
 # ---------------------------------------------------------------------------
 
-def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable,
-                         snr_grid: np.ndarray | None = None) -> DecisionRegions:
+def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable) -> DecisionRegions:
     """Union-of-intervals regions maximizing the per-SNR throughput.
 
     Scans a log grid for the argmax rate, merges runs into intervals, and
@@ -64,19 +63,13 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable,
     has zero throughput are assigned to rate 1 (the choice there carries
     no throughput).
     """
-    if snr_grid is None:
-        snr_grid = np.logspace(-3.0, 4.5, 3000)
-    snr_grid = np.asarray(snr_grid, dtype=float)
-    if snr_grid.size < 2000:
-        raise ValueError("snr_grid must have at least 2000 points")
-
     def winners(grid):
         eta = slow_throughput_at(grid, K, combining, table)  # (n, L)
         w = table.num_rates - np.argmax(eta[:, ::-1], axis=1)  # ties -> larger l
         w[np.all(eta <= 0.0, axis=1)] = 1
         return w
 
-    grid = snr_grid
+    grid = np.logspace(-3.0, 4.5, 3000)
     w = winners(grid)
     for attempt in range(3):
         cuts = np.flatnonzero(np.diff(w))  # last index of every run but the final one

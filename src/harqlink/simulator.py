@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -30,14 +31,12 @@ _CHUNK = 1 << 16  # rows of a vectorized pass: plain cycles, packet-drop starts
 class PacketState:
     """Variable-length HARQ buffer entry.
 
-    harq_count = 0 with snr_sigma = 0 marks a fresh packet; assigned_len 0
-    means not scheduled in the current block.
+    harq_count = 0 with snr_sigma = 0 marks a fresh packet.
     """
 
     harq_count: int = 0
     first_len: float = 0.0
     snr_sigma: float = 0.0
-    assigned_len: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -304,9 +303,13 @@ class _VlContext:
         self.units = {length: round(length * denom) for length in self.retx_lengths}
         self.buffer_cap = harq.max_rounds * len(self.primary)
         # all fresh multisets (counts per primary length) fitting in one block
-        self.fresh_sets = self._enumerate_fresh()
-        counts_m, costs_m, npkts_m = self.fresh_sets
-        self.fresh_lengths = [tuple(self.fresh_lengths_of(c)) for c in counts_m]
+        cost = np.array([self.units[length] for length in self.primary])
+        counts_m = np.array(list(product(*(range(self.unit // c + 1) for c in cost))))
+        counts_m = counts_m[counts_m @ cost <= self.unit]
+        costs_m, npkts_m = counts_m @ cost, counts_m.sum(axis=1)
+        self.fresh_sets = (counts_m, costs_m, npkts_m)
+        self.fresh_lengths = [tuple(sorted(length for length, n in zip(self.primary, c)
+                                           for _ in range(n))) for c in counts_m]
         # tie-break rank: fewer packets, then the lexicographically smallest
         # sorted length list
         order = sorted(range(len(counts_m)), key=lambda j: (npkts_m[j], self.fresh_lengths[j]))
@@ -317,30 +320,6 @@ class _VlContext:
         self.full_mask = npkts_m <= self.buffer_cap  # every multiset fits the budget
         self.cost_levels = sorted(set(costs_m.tolist()))
         self.level_masks = costs_m <= np.array(self.cost_levels)[:, None]
-
-    def _enumerate_fresh(self):
-        counts_list, costs, npkts = [], [], []
-
-        def rec(i, counts, cost):
-            if i == len(self.primary):
-                counts_list.append(tuple(counts))
-                costs.append(cost)
-                npkts.append(sum(counts))
-                return
-            cu = self.units[self.primary[i]]
-            n = 0
-            while cost + n * cu <= self.unit:
-                rec(i + 1, counts + [n], cost + n * cu)
-                n += 1
-
-        rec(0, [], 0)
-        return (np.array(counts_list), np.array(costs), np.array(npkts))
-
-    def fresh_lengths_of(self, counts) -> list[float]:
-        out = []
-        for length, n in zip(self.primary, counts):
-            out.extend([length] * n)
-        return sorted(out)
 
     def best_fresh(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Index of the best fresh multiset along the last axis of values
@@ -375,14 +354,6 @@ def _vl_failure_probs(pkt: PacketState, lengths, gamma: float, table: McsTable,
         return [0.0] * len(lengths)
     return [per(l, _vl_aggregate(pkt.snr_sigma, length, pkt.first_len, gamma), table) / p_now
             for length in lengths]
-
-
-def _vl_failure_prob(pkt: PacketState, length: float, gamma: float,
-                     table: McsTable, l: int) -> float:
-    """Conditional failure probability f(h) if pkt is sent with `length`."""
-    if pkt.harq_count == 0:
-        return per(l, gamma, table)  # first transmission: aggregate is the block SNR
-    return _vl_failure_probs(pkt, (length,), gamma, table, l)[0]
 
 
 def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
@@ -575,7 +546,8 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                     if pkt.harq_count == 0:
                         f = fresh_per[col[length]]
                     else:
-                        f = _vl_failure_prob(pkt, length, g, table, ctx.len_to_l[pkt.first_len])
+                        l = ctx.len_to_l[pkt.first_len]
+                        f = _vl_failure_probs(pkt, (length,), g, table, l)[0]
                     outcomes.append(next(uniforms) >= f)
                 buffer, acked, dropped = vl_update(buffer, assign, g, outcomes, harq, table, ctx)
             drops += dropped

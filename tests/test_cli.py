@@ -31,6 +31,8 @@ def test_spec_validation():
         _spec(region_source="nope")
     with pytest.raises(ValueError):
         _spec(schemes=("pd-harq",), mc_blocks=10)
+    with pytest.raises(ValueError):
+        _spec(fading="slwo")
 
 
 def test_snr_points_inclusive():
@@ -196,15 +198,41 @@ def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):
                  "--out", str(out2)]) == 0
     assert len(out1.read_text().splitlines()) == 4
     assert len(out2.read_text().splitlines()) == 3  # flag overrides config
+    # a flag before --config still wins over the file
+    assert main(["sweep", "--k", "3", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert {r.split(",")[4] for r in out2.read_text().splitlines()[1:]} == {"3"}
+    # config values go through the flag's type: inf is step decoding
+    cfg.write_text("snr-db = 0:5:5\na-tilde = inf\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert {r.split(",")[3] for r in out1.read_text().splitlines()[1:]} == {"inf"}
 
 
-def test_cli_bad_input_exit_code(tmp_path, capsys):
+def test_cli_bad_input_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--snr-db", "garbage", "--schemes", "amc"]) == 2
     assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "nope"]) == 2
     missing = tmp_path / "nope.cfg"
     assert main(["sweep", "--config", str(missing)]) == 2
     assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "amc", "--seed", "-1"]) == 2
     assert main(["sweep", "--snr-db", "0:5:5", "--schemes", "harq-ir", "--k", "0"]) == 2
+    # two SNR points, so with two workers the errors come from pool tasks
+    base = ["sweep", "--snr-db", "0:5:5", "--out", str(tmp_path / "x.csv")]
+    cfg = tmp_path / "run.cfg"
+    for workers in ("1", "2"):
+        monkeypatch.setenv("HARQLINK_WORKERS", workers)
+        for line in ("shemes = harq-ir", "fading = slwo"):  # unknown key, bad choice
+            cfg.write_text(line + "\n")
+            with pytest.raises(SystemExit) as exc:
+                main(base + ["--config", str(cfg)])
+            assert exc.value.code == 2
+        cfg.write_text("snr-db 10:1:10\n")  # no '='
+        capsys.readouterr()
+        assert main(base + ["--config", str(cfg)]) == 2
+        assert "run.cfg:1" in capsys.readouterr().err
+        for flags in (["--a-tilde", "-1"], ["--rates", "2,1"],
+                      ["--regions", "per-target", "--per-target-ploss", "2"]):
+            assert main(base + flags) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_unwritable_output_exit_code(tmp_path):

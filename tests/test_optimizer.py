@@ -11,12 +11,6 @@ from harqlink.optimizer import fast_optimize_regions, slow_optimal_regions
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 
 
-def test_slow_regions_require_dense_grid():
-    with pytest.raises(ValueError):
-        slow_optimal_regions(2, CombiningType.IR, TABLE,
-                             snr_grid=np.logspace(-2, 3, 500))
-
-
 def test_slow_regions_k1_reduce_to_amc_thresholds():
     regions = slow_optimal_regions(1, CombiningType.IR, TABLE)
     amc = amc_thresholds_exact(TABLE).thresholds

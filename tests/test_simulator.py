@@ -230,7 +230,7 @@ VL_TABLE = McsTable(rates=(0.75, 1.5, 3.0), a_tilde=4.0)
 
 def test_vl_schedule_respects_budget_and_is_exhaustive():
     from itertools import product
-    from harqlink.simulator import _VlContext, _vl_failure_prob
+    from harqlink.simulator import _VlContext
     ctx = _VlContext(VL_HARQ, VL_TABLE)
     buffer = [
         PacketState(harq_count=1, first_len=1.0, snr_sigma=0.3),
@@ -255,7 +255,8 @@ def test_vl_schedule_respects_budget_and_is_exhaustive():
                 if used + cost / ctx.unit > 1.0 + 1e-9:
                     continue
                 cand = [a0, a1] + [0.0] * (len(buffer) - 2)
-                fresh = ctx.fresh_lengths_of(counts)
+                fresh = sorted(length for length, n in zip(ctx.primary, counts)
+                               for _ in range(n))
                 for slot, length in zip(range(2, 2 + len(fresh)), fresh):
                     cand[slot] = length
                 best = max(best, _expected_acks(buffer, cand, gamma, ctx))
@@ -263,13 +264,16 @@ def test_vl_schedule_respects_budget_and_is_exhaustive():
 
 
 def _expected_acks(buffer, assign, gamma, ctx):
-    from harqlink.simulator import _vl_failure_prob
+    from harqlink.simulator import _vl_failure_probs
     total = 0.0
     for pkt, length in zip(buffer, assign):
         if length == 0.0:
             continue
-        l = ctx.len_to_l[pkt.first_len if pkt.harq_count > 0 else length]
-        total += 1.0 - _vl_failure_prob(pkt, length, gamma, VL_TABLE, l)
+        if pkt.harq_count == 0:  # first transmission: aggregate is the block SNR
+            total += 1.0 - per(ctx.len_to_l[length], gamma, VL_TABLE)
+        else:
+            l = ctx.len_to_l[pkt.first_len]
+            total += 1.0 - _vl_failure_probs(pkt, (length,), gamma, VL_TABLE, l)[0]
     return total
 
 
