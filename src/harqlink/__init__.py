@@ -6,8 +6,8 @@ from .amc import (DecisionRegions, RegionKind, ThroughputEstimate,
 from .channel import (ChannelConfig, FadingMode, db_to_linear, exp_mass,
                       linear_to_db, make_stream)
 from .coding import (CombiningType, McsTable, aggregate_snr, mutual_information,
-                     mutual_information_inv, per, per_at, per_erlang_mean,
-                     per_pdf_mass, snr_margin_delta)
+                     mutual_information_inv, per, per_at, per_pdf_mass,
+                     snr_margin_delta)
 from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
                             fast_throughput, slow_cascades, slow_throughput,
                             slow_throughput_at, two_round_bound)

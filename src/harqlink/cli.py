@@ -266,8 +266,19 @@ def _verify() -> int:
     return 0 if ok else 1
 
 
+class _ConfigLineParser(argparse.ArgumentParser):
+    """The subcommands' flags, raising ValueError where argparse would exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _config_args(path: str) -> list[str]:
-    """The `key = value` lines of a config file as `--key=value` tokens."""
+    """The `key = value` lines of a config file as `--key=value` tokens, each
+    checked against the flags' names, types and choices; an error names the
+    file and line."""
+    check = _ConfigLineParser(add_help=False)
+    _add_common(check)
     out = []
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
@@ -275,9 +286,18 @@ def _config_args(path: str) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, eq, val = line.partition("=")
-            if not eq:
-                raise ValueError(f"{path}:{n}: want key = value, got {line!r}")
-            out.append(f"--{key.strip()}={val.strip()}")
+            token = f"--{key.strip()}={val.strip()}"
+            try:
+                if not eq:
+                    raise ValueError(f"want key = value, got {line!r}")
+                parsed, unknown = check.parse_known_args([token])
+                if unknown:
+                    raise ValueError(f"unknown key {key.strip()!r}")
+                if parsed.config is not None:
+                    raise ValueError("a config file cannot read another")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+            out.append(token)
     return out
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 
 class CombiningType(Enum):
@@ -151,18 +150,39 @@ def per_pdf_mass(l, a, b, table: McsTable, avg_snr: float):
     return out if out.ndim else float(out)
 
 
-def per_erlang_mean(l: int, x, extra_rounds: int, table: McsTable, avg_snr: float):
-    """E[PER_l(x + U)], U ~ Erlang(extra_rounds, avg_snr); vectorized in x."""
-    x = np.asarray(x, dtype=float)
+def per_erlang_rows(l: int, x, rounds: int, table: McsTable, avg_snr: float) -> np.ndarray:
+    """E[PER_l(x + U_m)], U_m ~ Erlang(m, avg_snr), for m = 1..rounds: row
+    m - 1 of a (rounds, x.size) array, over an ascending grid x >= 0.
+
+    For integer m the incomplete gamma functions are finite Poisson sums
+    (Abramowitz & Stegun 6.5.13).  On the grid prefix x < th_l, with
+    z = (th_l - x) / avg_snr, r = 1 / (avg_snr beta) and
+    beta = a_tilde / th_l + 1 / avg_snr, the mean is
+    1 - sum_{j<m} e^{-z} z^j / j! + sum_{j<m} e^{-z} z^j / j! r^{m-j}, and one
+    pass over j yields every m.  Above the prefix it is the exponential tail
+    exp(a_tilde (1 - x / th_l)) / (avg_snr beta)^m, and 0 for a_tilde = inf.
+    """
     th = table.threshold(l)
-    m = extra_rounds
-    c = np.maximum(0.0, th - x)
-    below = gammainc(m, c / avg_snr)
+    out = np.empty((rounds, x.size))
+    below = np.searchsorted(x, th)  # the length of the prefix x < th_l
     if math.isinf(table.a_tilde):
-        return below
-    beta = table.a_tilde / th + 1.0 / avg_snr
-    tail = np.exp(table.a_tilde * (1.0 - x / th)) * gammaincc(m, beta * c) / (avg_snr * beta) ** m
-    return below + tail
+        r, out[:, below:] = 0.0, 0.0
+    else:
+        beta = table.a_tilde / th + 1.0 / avg_snr
+        r = 1.0 / (avg_snr * beta)
+        tail = np.exp(table.a_tilde * (1.0 - x[below:] / th))
+        for m in range(1, rounds + 1):
+            out[m - 1, below:] = tail / (avg_snr * beta) ** m
+    z = (th - x[:below]) / avg_snr
+    term = np.exp(-z)  # the Poisson term e^{-z} z^j / j!, from j = 0
+    mass = np.zeros_like(z)  # sum_{j<m} of the terms
+    tail_mass = np.zeros_like(z)  # sum_{j<m} of the terms times r^{m-j}
+    for m in range(1, rounds + 1):
+        mass += term
+        tail_mass = r * (tail_mass + term)
+        out[m - 1, :below] = (1.0 - mass) + tail_mass
+        term = term * z / m
+    return out
 
 
 def snr_margin_delta(epsilon: float, a_tilde: float) -> float:

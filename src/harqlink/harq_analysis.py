@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.fft import irfft, rfft
+from scipy.integrate import quad
 
 from .amc import DecisionRegions, ThroughputEstimate
 from .channel import exp_mass
 from .coding import (CombiningType, McsTable, mutual_information,
-                     mutual_information_inv, per, per_at, per_erlang_mean,
+                     mutual_information_inv, per, per_at, per_erlang_rows,
                      per_pdf_cum, per_pdf_mass)
 
 
@@ -139,17 +139,20 @@ class FastFadingTables:
 
     The grid is uniform in the MI domain (x_i = 2**(i dv) - 1, spanning
     [0, span * avg_snr]).  cum[k - 2, l - 1] is the integral of
-    pdf * f_{k,l} over [0, x_i) for k >= 2; each f_{k,l} row is integrated
-    as soon as it is made.  RR rows are the Erlang closed form.  IR row
-    (k, l) is the correlation of PER_l on the grid extended to 2n points
-    with the density p_{k-1} of the MI summed over k - 1 rounds, and the
-    rows share their FFT spectra: one rfft per rate and one per reversed
-    density serve every (k, l).  The densities are self-convolutions
-    p_{s+1} = p_s * p_1 that reuse the spectrum of p_1.  Transform lengths
-    and arithmetic are fftconvolve's, so each row equals a per-(k, l)
-    fftconvolve bit for bit.  Every region mass that fast_throughput and
-    the fast optimizer use comes from `cum_mass`, and their renewal-reward
-    terms from `reward_cost`.
+    pdf * f_{k,l} over [0, x_i) for k >= 2, by the trapezoid rule; each
+    f_{k,l} row is integrated as soon as it is made.  RR rows are the
+    Erlang closed form, every k of one rate from one pass.  IR row (k, l)
+    is the correlation f_{k,l}(x_i) = sum_{j<n} g_l[i + j] p_{k-1}[j] dv of
+    PER_l on the grid extended to 2n points, g_l, with the density p_{k-1}
+    of the MI summed over k - 1 rounds.  All transforms have length 2n: the
+    circular correlation of the 2n-point g_l with the zero-padded p_{k-1}
+    reaches index i + j <= 2n - 2 for the n outputs i < n a row keeps, so
+    it never wraps.  The densities are self-convolutions
+    p_{s+1} = p_s * p_1, whose n kept points do not wrap at 2n either, so
+    the spectrum of each density serves both its correlations and the next
+    density, and one rfft per rate serves every k.  Every region mass that
+    fast_throughput and the fast optimizer use comes from `cum_mass`, and
+    their renewal-reward terms from `reward_cost`.
     """
 
     def __init__(self, table: McsTable, K: int, combining: CombiningType,
@@ -166,28 +169,21 @@ class FastFadingTables:
         dv = mutual_information(span * avg_snr) / n
         self.x = mutual_information_inv(np.arange(n) * dv)
         pdf = np.exp(-self.x / avg_snr) / avg_snr
+        dx = np.diff(self.x)
         L = table.num_rates
         self.cum = np.empty((K - 1, L, n))
-        if K > 1 and combining is CombiningType.IR:
-            # fftconvolve's lengths for the correlation and the self-convolution
-            F, F2 = next_fast_len(3 * n - 1, True), next_fast_len(2 * n - 1, True)
-            x_ext = mutual_information_inv(np.arange(2 * n) * dv)
-            g_spectra = [rfft(per(l, x_ext, table), F) for l in range(1, L + 1)]
-            # p_1, the density of one round's MI
-            p_s = math.log(2.0) * (1.0 + self.x) * np.exp(-self.x / avg_snr) / avg_snr
-            p_v_spectrum = rfft(p_s, F2)
-        for k in range(2, K + 1):
-            if combining is CombiningType.RR:
-                rows = (per_erlang_mean(l, self.x, k - 1, table, avg_snr) for l in range(1, L + 1))
-            else:
-                if k > 2:  # p_s becomes the density of the MI summed over k - 1 rounds
-                    p_s_spectrum = p_v_spectrum if k == 3 else rfft(p_s, F2)
-                    p_s = irfft(p_s_spectrum * p_v_spectrum, F2)[:n] * dv
-                s_spectrum = rfft(p_s[::-1], F)
-                rows = (np.clip(irfft(g * s_spectrum, F)[n - 1:2 * n - 1] * dv, 0.0, 1.0)
-                        for g in g_spectra)
-            for l, f in enumerate(rows):
-                self.cum[k - 2, l] = cumulative_trapezoid(pdf * f, self.x, initial=0.0)
+        self.cum[:, :, 0] = 0.0
+        if K < 2:
+            return
+        if combining is CombiningType.RR:
+            rows = ((k, l, f) for l in range(L)
+                    for k, f in enumerate(per_erlang_rows(l + 1, self.x, K - 1, table, avg_snr)))
+        else:
+            rows = _ir_rows(table, K, n, dv, self.x, avg_snr)
+        for k, l, f in rows:
+            # scipy's cumulative_trapezoid, in its arithmetic
+            y = pdf * f
+            np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, out=self.cum[k, l, 1:])
 
     def cum_mass(self, l, x) -> np.ndarray:
         """Masses of pdf * f_{k,l} over [0, x) for k = 0..K, shaped (K + 1,) +
@@ -215,6 +211,23 @@ class FastFadingTables:
         m = self.cum_mass(l, x)
         rates = np.asarray(self.table.rates)[np.asarray(l) - 1]
         return rates * (m[0] - m[self.K]), m[:self.K].sum(axis=0)
+
+
+def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
+    """(k - 2, l - 1, f_{k,l}) for every IR row of FastFadingTables, k outer:
+    each row is irfft(G_l conj(P_{k-1}), 2n)[:n] dv, clipped to [0, 1]."""
+    x_ext = mutual_information_inv(np.arange(2 * n) * dv)
+    g_spectra = [rfft(per(l, x_ext, table)) for l in range(1, table.num_rates + 1)]
+    # p_1, the density of one round's MI
+    p = math.log(2.0) * (1.0 + x) * np.exp(-x / avg_snr) / avg_snr
+    p1_spectrum = p_spectrum = rfft(p, 2 * n)
+    for k in range(2, K + 1):
+        if k > 2:  # p becomes the density of the MI summed over k - 1 rounds
+            p = irfft(p_spectrum * p1_spectrum, 2 * n)[:n] * dv
+            p_spectrum = rfft(p, 2 * n)
+        p_conj = p_spectrum.conj()
+        for l, g in enumerate(g_spectra):
+            yield k - 2, l, np.clip(irfft(g * p_conj, 2 * n)[:n] * dv, 0.0, 1.0)
 
 
 def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,

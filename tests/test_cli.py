@@ -1,5 +1,7 @@
 import math
+import shlex
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,24 @@ def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):
     assert {r.split(",")[3] for r in out1.read_text().splitlines()[1:]} == {"inf"}
 
 
+def test_readme_config_example_runs_as_written(tmp_path, monkeypatch):
+    # the README's heredoc writes run.cfg, and its sweep line reads it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    start = lines.index("cat > run.cfg <<'EOF'")
+    end = lines.index("EOF", start)
+    command = next(line for line in lines[end:] if line.startswith("harqlink sweep --config"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    (tmp_path / "run.cfg").write_text("\n".join(lines[start + 1:end]) + "\n")
+    argv = shlex.split(command)[1:]
+    assert main(argv) == 0
+    rows = [r.split(",") for r in (tmp_path / argv[argv.index("--out") + 1]).read_text().splitlines()]
+    assert rows[0] == CSV_HEADER.split(",")
+    assert {(r[1], r[4]) for r in rows[1:]} == {(s, "3") for s in ("amc", "harq-rr", "harq-ir")}
+    assert len(rows) == 1 + 3 * 5
+
+
 def test_cli_bad_input_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--snr-db", "garbage", "--schemes", "amc"]) == 2
     assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "nope"]) == 2
@@ -219,15 +239,13 @@ def test_cli_bad_input_exit_code(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     for workers in ("1", "2"):
         monkeypatch.setenv("HARQLINK_WORKERS", workers)
-        for line in ("shemes = harq-ir", "fading = slwo"):  # unknown key, bad choice
-            cfg.write_text(line + "\n")
-            with pytest.raises(SystemExit) as exc:
-                main(base + ["--config", str(cfg)])
-            assert exc.value.code == 2
-        cfg.write_text("snr-db 10:1:10\n")  # no '='
-        capsys.readouterr()
-        assert main(base + ["--config", str(cfg)]) == 2
-        assert "run.cfg:1" in capsys.readouterr().err
+        # unknown key, bad choice, bad type, no '=' and a nested config, on line 2
+        for line in ("shemes = harq-ir", "fading = slwo", "k = two", "snr-db 10:1:10",
+                     f"config = {cfg}"):
+            cfg.write_text("# run\n" + line + "\n")
+            capsys.readouterr()
+            assert main(base + ["--config", str(cfg)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
         for flags in (["--a-tilde", "-1"], ["--rates", "2,1"],
                       ["--regions", "per-target", "--per-target-ploss", "2"]):
             assert main(base + flags) == 2

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.signal import fftconvolve
+from scipy.special import gammainc, gammaincc
 
 from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
                           amc_thresholds_exact)
 from harqlink.channel import exp_mass, make_stream
 from harqlink.coding import (CombiningType, McsTable, mutual_information,
-                             mutual_information_inv, per, per_erlang_mean,
+                             mutual_information_inv, per, per_erlang_rows,
                              per_pdf_mass)
 from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
                                     fast_throughput, slow_cascades, slow_throughput,
@@ -45,6 +46,21 @@ def _mi_sum_density(avg_snr, rounds, n, span=50.0):
     for _ in range(rounds - 1):
         p_s = fftconvolve(p_s, p_v)[:n] * dv
     return p_s, dv
+
+
+def per_erlang_mean(l, x, extra_rounds, table, avg_snr):
+    """Oracle E[PER_l(x + U)], U ~ Erlang(extra_rounds, avg_snr), from the
+    regularized incomplete gamma functions of scipy.special."""
+    x = np.asarray(x, dtype=float)
+    th = table.threshold(l)
+    m = extra_rounds
+    c = np.maximum(0.0, th - x)
+    below = gammainc(m, c / avg_snr)
+    if math.isinf(table.a_tilde):
+        return below
+    beta = table.a_tilde / th + 1.0 / avg_snr
+    tail = np.exp(table.a_tilde * (1.0 - x / th)) * gammaincc(m, beta * c) / (avg_snr * beta) ** m
+    return below + tail
 
 
 def fast_cascade_conditional(l, x, k, combining, table, avg_snr, n_grid=1 << 14, span=50.0):
@@ -209,6 +225,28 @@ def test_fast_cascade_rr_reference_values():
         assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("a_tilde", [0.5, 4.0, 20.0, math.inf])
+def test_per_erlang_rows_match_incomplete_gamma(a_tilde):
+    # the finite Poisson sums against scipy's incomplete gamma functions on
+    # the table grid, and exactly the exponential tail at and above th_l
+    table = McsTable(rates=(0.25, 0.75, 1.5, 2.5, 3.5, 5.0), a_tilde=a_tilde)
+    n, rounds = 1 << 12, 15
+    for snr_db in range(-20, 31, 5):
+        avg = 10.0 ** (snr_db / 10.0)
+        x = FastFadingTables(table, 1, CombiningType.RR, avg, n_grid=n).x
+        for l in range(1, 7):
+            rows = per_erlang_rows(l, x, rounds, table, avg)
+            th = table.threshold(l)
+            above = x >= th
+            beta = a_tilde / th + 1.0 / avg
+            for m in range(1, rounds + 1):
+                want = per_erlang_mean(l, x, m, table, avg)
+                assert np.abs(rows[m - 1] - want).max() <= 4e-15, (snr_db, l, m)
+                tail = (np.zeros(above.sum()) if math.isinf(a_tilde)
+                        else np.exp(a_tilde * (1.0 - x[above] / th)) / (avg * beta) ** m)
+                assert np.array_equal(rows[m - 1, above], tail), (snr_db, l, m)
+
+
 def test_fast_cascade_rr_k2_matches_direct_quadrature():
     for l, x in [(2, 0.5), (4, 3.0)]:
         th = TABLE.threshold(l)
@@ -243,10 +281,11 @@ def test_fast_cascade_grid_convergence():
         assert a == pytest.approx(b, abs=5e-5)
 
 
-def test_ir_tables_are_per_pair_fftconvolve_and_nest_in_k():
-    # every IR row is the fftconvolve correlation of PER_l on the doubled
-    # grid with the summed-MI density, integrated, bit for bit, and the
-    # table of K' < K rounds is the prefix of the K-round table
+def test_ir_tables_are_direct_correlations_and_nest_in_k():
+    # every IR row is the correlation sum_j g_l[i + j] p_{k-1}[j] dv of PER_l
+    # on the doubled grid with the summed-MI density, integrated by the
+    # trapezoid rule, to within two units in the last place of a direct sum,
+    # and the table of K' < K rounds is the prefix of the K-round table
     n, avg = 1 << 12, 3.0
     tables = FastFadingTables(TABLE, 4, CombiningType.IR, avg, n_grid=n)
     pdf = np.exp(-tables.x / avg) / avg
@@ -254,9 +293,10 @@ def test_ir_tables_are_per_pair_fftconvolve_and_nest_in_k():
         p_s, dv = _mi_sum_density(avg, k - 1, n)
         x_ext = mutual_information_inv(np.arange(2 * n) * dv)
         for l in range(1, 6):
-            corr = fftconvolve(per(l, x_ext, TABLE), p_s[::-1], mode="valid")[:n] * dv
+            g = per(l, x_ext, TABLE)
+            corr = np.array([np.dot(g[i:i + n], p_s) for i in range(n)]) * dv
             want = cumulative_trapezoid(pdf * np.clip(corr, 0.0, 1.0), tables.x, initial=0.0)
-            assert np.array_equal(tables.cum[k - 2, l - 1], want), (k, l)
+            assert np.abs(tables.cum[k - 2, l - 1] - want).max() <= 4.4e-16, (k, l)
     for K in (2, 3):
         short = FastFadingTables(TABLE, K, CombiningType.IR, avg, n_grid=n)
         assert np.array_equal(short.cum, tables.cum[:K - 1])
