@@ -14,8 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .channel import exp_mass
-from .coding import McsTable, per, per_pdf_mass, snr_margin_delta
+from .coding import McsTable, first_round_cum, per, snr_margin_delta
 
 
 class RegionKind(Enum):
@@ -174,11 +173,9 @@ def amc_throughput(regions: DecisionRegions, table: McsTable, avg_snr: float) ->
 
     Identical for slow and fast fading (errors are block-memoryless).
     """
-    if not avg_snr > 0:
-        raise ValueError("avg_snr must be positive")
     labels, lows, highs = regions.labelled_intervals()
-    f1 = per_pdf_mass(np.array(labels), lows, highs, table, avg_snr).tolist()
-    total = 0.0
-    for l, a, b, f in zip(labels, lows, highs, f1):
-        total += table.rate(l) * (exp_mass(a, b, avg_snr) - f)
-    return ThroughputEstimate(value=total)
+    labels = np.array(labels)
+    m = first_round_cum(labels, (highs, lows), table, avg_snr)
+    p, f1 = m[:, 0] - m[:, 1]  # per region: P(SNR in it) and the mass of pdf * PER_l
+    rates = np.asarray(table.rates)[labels - 1]
+    return ThroughputEstimate(value=float(np.sum(rates * (p - f1))))

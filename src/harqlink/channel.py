@@ -6,7 +6,6 @@ boundaries (see :mod:`harqlink.cli`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,13 +41,6 @@ def db_to_linear(x_db: float) -> float:
 
 def linear_to_db(x_lin) -> float:
     return 10.0 * np.log10(x_lin)
-
-
-def exp_mass(a: float, b: float, avg_snr: float) -> float:
-    """P(a <= SNR < b) for exponential SNR; b may be inf."""
-    lo = math.exp(-a / avg_snr)
-    hi = 0.0 if math.isinf(b) else math.exp(-b / avg_snr)
-    return lo - hi
 
 
 def make_stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -302,7 +302,10 @@ def _config_args(path: str) -> list[str]:
 
 
 def _rates(text: str) -> tuple[float, ...]:
-    return tuple(float(r) for r in text.split(","))
+    try:
+        return tuple(float(r) for r in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want a comma list of rates, got {text!r}") from None
 
 
 def _build_spec(args) -> SweepSpec:

@@ -1,6 +1,8 @@
 """Packet-error model, decoding thresholds, HARQ combining functions, and
-closed-form averages of the PER over the exponential SNR law.  The only
-place that evaluates the PER, log2(1 + gamma) and its inverse."""
+closed-form averages over the exponential SNR law: the first-round masses
+P(SNR < x) and E[PER_l; SNR < x] (`first_round_cum`) and the Erlang means
+of the PER (`per_erlang_rows`).  The only place that evaluates the PER,
+log2(1 + gamma) and its inverse."""
 
 from __future__ import annotations
 
@@ -127,27 +129,24 @@ def per(l: int, gamma, table: McsTable):
     return per_at(gamma, table.thresholds[l - 1], table.a_tilde)
 
 
-def per_pdf_cum(l, x, table: McsTable, avg_snr: float) -> np.ndarray:
-    """Closed-form integral of pdf(y) * PER_l(y) over [0, x) for exponential
-    SNR, elementwise in x (inf allowed).  l is a rate index or an integer
-    array that broadcasts against x, e.g. a column of rates."""
+def first_round_cum(l, x, table: McsTable, avg_snr: float) -> np.ndarray:
+    """First-round masses over [0, x) for exponential SNR, in closed form:
+    row 0 is P(SNR < x) and row 1 the integral of pdf * PER_l, shaped (2,) +
+    the broadcast shape of l (a rate index or an integer array, e.g. a
+    column of rates) and x (inf allowed).  A region [a, b) takes the
+    difference of the rows at b and at a."""
+    if not avg_snr > 0:
+        raise ValueError("avg_snr must be positive")
     th = table.threshold(l) if isinstance(l, int) else np.asarray(table.thresholds)[l - 1]
     x = np.asarray(x, dtype=float)
-    total = -np.expm1(-np.minimum(x, th) / avg_snr)
+    out = np.empty((2,) + np.broadcast_shapes(np.shape(l), x.shape))
+    out[0] = -np.expm1(-x / avg_snr)
+    out[1] = -np.expm1(-np.minimum(x, th) / avg_snr)
     if not math.isinf(table.a_tilde):
         c = 1.0 / avg_snr + table.a_tilde / th
-        total += (np.exp(table.a_tilde - th * c) / (avg_snr * c)
-                  * -np.expm1(-np.maximum(x - th, 0.0) * c))
-    return total
-
-
-def per_pdf_mass(l, a, b, table: McsTable, avg_snr: float):
-    """Closed-form integral of pdf(x) * PER_l(x) over [a, b) for exponential
-    SNR.  Elementwise when l is an integer array and a, b are sequences of
-    its length, so one call covers many intervals."""
-    lo, hi = per_pdf_cum(l, (a, b), table, avg_snr)
-    out = hi - lo
-    return out if out.ndim else float(out)
+        out[1] += (np.exp(table.a_tilde - th * c) / (avg_snr * c)
+                   * -np.expm1(-np.maximum(x - th, 0.0) * c))
+    return out
 
 
 def per_erlang_rows(l: int, x, rounds: int, table: McsTable, avg_snr: float) -> np.ndarray:

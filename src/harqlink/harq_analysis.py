@@ -8,7 +8,7 @@ IR is handled by numerical self-convolution of the per-round mutual
 information density on a uniform MI grid.  The fast-fading throughput is
 a renewal-reward ratio (S. M. Ross, Applied Probability Models with
 Optimization Applications, 1970): a cycle's expected reward over its
-expected duration, both sums of the region masses of FastFadingTables.cum_mass.
+expected duration, both region sums of FastFadingTables.renewal_sums.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from scipy.fft import irfft, rfft
 from scipy.integrate import quad
 
 from .amc import DecisionRegions, ThroughputEstimate
-from .channel import exp_mass
-from .coding import (CombiningType, McsTable, mutual_information,
-                     mutual_information_inv, per, per_at, per_erlang_rows,
-                     per_pdf_cum, per_pdf_mass)
+from .coding import (CombiningType, McsTable, first_round_cum, mutual_information,
+                     mutual_information_inv, per, per_at, per_erlang_rows)
 
 
 class HarqVariant(Enum):
@@ -134,11 +132,14 @@ def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
 # fast fading
 # ---------------------------------------------------------------------------
 
+_SPAN = 50.0  # the FastFadingTables grid ends at _SPAN * avg_snr
+
+
 class FastFadingTables:
     """Cumulative f_{k,l} tables over a shared SNR grid.
 
     The grid is uniform in the MI domain (x_i = 2**(i dv) - 1, spanning
-    [0, span * avg_snr]).  cum[k - 2, l - 1] is the integral of
+    [0, _SPAN * avg_snr]).  cum[k - 2, l - 1] is the integral of
     pdf * f_{k,l} over [0, x_i) for k >= 2, by the trapezoid rule; each
     f_{k,l} row is integrated as soon as it is made.  RR rows are the
     Erlang closed form, every k of one rate from one pass.  IR row (k, l)
@@ -152,21 +153,22 @@ class FastFadingTables:
     the spectrum of each density serves both its correlations and the next
     density, and one rfft per rate serves every k.  Every region mass that
     fast_throughput and the fast optimizer use comes from `cum_mass`, and
-    their renewal-reward terms from `reward_cost`.
+    their renewal-reward sums from `renewal_sums`.
     """
 
     def __init__(self, table: McsTable, K: int, combining: CombiningType,
-                 avg_snr: float, n_grid: int = 1 << 15, span: float = 50.0):
+                 avg_snr: float, n_grid: int = 1 << 15):
         if K < 1:
             raise ValueError("K must be >= 1")
         if not avg_snr > 0:
             raise ValueError("avg_snr must be positive")
         self.table = table
         self.K = K
+        self.combining = combining
         self.avg_snr = avg_snr
 
         n = n_grid
-        dv = mutual_information(span * avg_snr) / n
+        dv = mutual_information(_SPAN * avg_snr) / n
         self.x = mutual_information_inv(np.arange(n) * dv)
         pdf = np.exp(-self.x / avg_snr) / avg_snr
         dx = np.diff(self.x)
@@ -188,12 +190,11 @@ class FastFadingTables:
     def cum_mass(self, l, x) -> np.ndarray:
         """Masses of pdf * f_{k,l} over [0, x) for k = 0..K, shaped (K + 1,) +
         the broadcast shape of l (a rate index or an integer array) and x (inf
-        allowed).  Row 0 takes f_{0,l} = 1, so it is P(SNR < x); k = 1 is the
-        closed form; k >= 2 is np.interp of `cum`, in its exact arithmetic."""
+        allowed).  Rows 0 (f_{0,l} = 1, so P(SNR < x)) and 1 are `first_round_cum`;
+        k >= 2 is np.interp of `cum`, in its exact arithmetic."""
         x = np.asarray(x, dtype=float)
         out = np.empty((self.K + 1,) + np.broadcast_shapes(np.shape(l), x.shape))
-        out[0] = -np.expm1(-x / self.avg_snr)
-        out[1] = per_pdf_cum(l, x, self.table, self.avg_snr)
+        out[:2] = first_round_cum(l, x, self.table, self.avg_snr)
         g = self.x
         if x is g:  # on its own grid the interpolation is the identity
             out[2:] = self.cum[:, l - 1]  # l is one rate here
@@ -211,6 +212,19 @@ class FastFadingTables:
         m = self.cum_mass(l, x)
         rates = np.asarray(self.table.rates)[np.asarray(l) - 1]
         return rates * (m[0] - m[self.K]), m[:self.K].sum(axis=0)
+
+    def renewal_sums(self, l, a, b) -> tuple[float, float]:
+        """Expected reward and duration of a renewal cycle, summed over the
+        regions [a, b) of rates l (equal-length sequences)."""
+        reward, cost = self.reward_cost(l, (b, a))
+        return float(np.sum(reward[0] - reward[1])), float(np.sum(cost[0] - cost[1]))
+
+    def check_problem(self, table: McsTable, K: int, combining: CombiningType,
+                      avg_snr: float) -> FastFadingTables:
+        """These tables, or ValueError if they were built for another problem."""
+        if (self.table, self.K, self.combining, self.avg_snr) != (table, K, combining, avg_snr):
+            raise ValueError("tables were built for another table, K, combining or avg_snr")
+        return self
 
 
 def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
@@ -235,13 +249,13 @@ def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
                     tables: FastFadingTables | None = None) -> ThroughputEstimate:
     """Renewal-reward throughput over fast fading: the expected reward of a
     cycle over its expected duration, both summed over every region's
-    intervals from `FastFadingTables.reward_cost`."""
-    if tables is None:
-        tables = FastFadingTables(table, K, combining, avg_snr)
+    intervals by `FastFadingTables.renewal_sums`.  Given tables must have
+    been built for the same table, K, combining and avg_snr."""
+    tables = (FastFadingTables(table, K, combining, avg_snr) if tables is None
+              else tables.check_problem(table, K, combining, avg_snr))
     l, a, b = regions.labelled_intervals()
-    reward, cost = tables.reward_cost(np.array(l), (b, a))
-    return ThroughputEstimate(value=float(np.sum(reward[0] - reward[1])
-                                          / np.sum(cost[0] - cost[1])))
+    reward, duration = tables.renewal_sums(np.array(l), a, b)
+    return ThroughputEstimate(value=reward / duration)
 
 
 def two_round_bound(regions: DecisionRegions, table: McsTable, avg_snr: float) -> float:
@@ -251,10 +265,8 @@ def two_round_bound(regions: DecisionRegions, table: McsTable, avg_snr: float) -
     regions; packet-dropping HARQ, which restarts cycles early, can exceed
     it."""
     labels, lows, highs = regions.labelled_intervals()
-    f1 = per_pdf_mass(np.array(labels), lows, highs, table, avg_snr).tolist()
-    num = 0.0
-    f1_bar = 0.0
-    for l, a, b, f in zip(labels, lows, highs, f1):
-        num += table.rate(l) * exp_mass(a, b, avg_snr)
-        f1_bar += f
-    return num / (1.0 + f1_bar)
+    labels = np.array(labels)
+    m = first_round_cum(labels, (highs, lows), table, avg_snr)
+    p, f1 = m[:, 0] - m[:, 1]  # per region: P(SNR in it) and the mass of pdf * PER_l
+    rates = np.asarray(table.rates)[labels - 1]
+    return float(np.sum(rates * p) / (1.0 + np.sum(f1)))

@@ -3,7 +3,7 @@
 Slow fading: the optimal regions are pointwise argmax sets of the per-rate
 throughput curves and come out as unions of intervals.  Fast fading: the
 throughput is the ratio N/C of a cycle's expected reward and duration,
-the region sums of FastFadingTables.reward_cost that fast_throughput also
+the region sums of FastFadingTables.renewal_sums that fast_throughput also
 takes.  One term per threshold makes it an exact monotone DP over the
 FastFadingTables grid (`_curve_diffs`, `_grid_argmax`) inside Dinkelbach's
 iteration lambda <- N/C (W. Dinkelbach, Management Science 13(7), 1967),
@@ -115,13 +115,6 @@ def _refine_boundary(a: float, b: float, winners) -> float:
 # fast fading: monotone grid DP + Dinkelbach update + windowed polish
 # ---------------------------------------------------------------------------
 
-def _reward_cost(tables: FastFadingTables, gamma: np.ndarray) -> tuple[float, float]:
-    """Expected per-cycle reward and duration for a threshold vector."""
-    reward, cost = tables.reward_cost(np.arange(1, len(gamma) + 1),
-                                      (np.append(gamma[1:], math.inf), gamma))
-    return float(np.sum(reward[0] - reward[1])), float(np.sum(cost[0] - cost[1]))
-
-
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization on [a, b], endpoints included."""
     best_x, best_v = a, f(a)
@@ -192,16 +185,17 @@ def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
     keeps a move only if the ratio strictly increases.  A threshold equal to
     its neighbour gives a degenerate region.
     """
-    if tables is None:
-        tables = FastFadingTables(table, K, combining, avg_snr)
+    tables = (FastFadingTables(table, K, combining, avg_snr) if tables is None
+              else tables.check_problem(table, K, combining, avg_snr))
     x = tables.x
     d_reward, d_cost = _curve_diffs(tables)
     work = np.empty_like(d_reward)
+    labels = np.arange(1, table.num_rates + 1)
 
     def grid_max(lam):
         idx = _grid_argmax(d_reward, d_cost, lam, work)
         gamma = np.concatenate([[0.0], x[idx]])
-        return idx, gamma, _reward_cost(tables, gamma)
+        return idx, gamma, tables.renewal_sums(labels, gamma, np.append(gamma[1:], math.inf))
 
     lam, idx, iterations = 0.0, None, []
     while True:
@@ -219,9 +213,9 @@ def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
         hi = min(x[min(i + 2, x.size - 1)], bounds[l + 1])
 
         def ratio(v, l=l):
-            g = bounds[:-1].copy()
+            g = bounds.copy()
             g[l] = v
-            r, c = _reward_cost(tables, g)
+            r, c = tables.renewal_sums(labels, g[:-1], g[1:])
             return r / c
 
         if hi > lo:

@@ -48,6 +48,11 @@ class SimResult:
     drops: int = 0
 
 
+def _ci(ratios: np.ndarray) -> float:
+    """3-sigma half width of the mean of _N_BATCHES batch estimates."""
+    return 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
+
+
 def _batch_ci(rewards: np.ndarray, durations: np.ndarray) -> float:
     """3-sigma half width of the ratio estimator via batch means."""
     n = rewards.size
@@ -56,8 +61,7 @@ def _batch_ci(rewards: np.ndarray, durations: np.ndarray) -> float:
     cut = (n // _N_BATCHES) * _N_BATCHES
     r = rewards[:cut].reshape(_N_BATCHES, -1).sum(axis=1)
     d = durations[:cut].reshape(_N_BATCHES, -1).sum(axis=1)
-    ratios = r / np.maximum(d, 1e-300)
-    return 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
+    return _ci(r / np.maximum(d, 1e-300))
 
 
 _SLOW_CYCLES_PER_DRAW = 512
@@ -95,7 +99,7 @@ def _simulate_slow_ratio(regions: DecisionRegions, K: int, combining: CombiningT
     means = ratios[:cut].reshape(_N_BATCHES, -1).mean(axis=1)
     return SimResult(
         throughput=float(ratios.mean()),
-        ci_half_width=3.0 * float(np.std(means, ddof=1)) / math.sqrt(_N_BATCHES),
+        ci_half_width=_ci(means),
         blocks=total_rounds,
         acked_packets=acked,
     )
@@ -260,11 +264,9 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
         reward = float(np.cumsum(np.concatenate(([reward], r)))[-1])
         np.add.at(batch_rewards, np.minimum((c0 + end[won]) // batch_size, _N_BATCHES - 1), r)
 
-    ratios = batch_rewards / batch_size
-    ci = 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
     return SimResult(
         throughput=reward / blocks,
-        ci_half_width=ci,
+        ci_half_width=_ci(batch_rewards / batch_size),
         blocks=blocks,
         acked_packets=acked,
         drops=drops,
@@ -282,7 +284,6 @@ class _VlContext:
     def __init__(self, harq: HarqConfig, table: McsTable):
         if harq.variant is not HarqVariant.VARIABLE_LENGTH:
             raise ValueError("variable-length context requires the VL variant")
-        self.harq = harq
         self.table = table
         r1 = table.rates[0]
         self.primary = tuple(harq.lengths_primary)
@@ -439,16 +440,14 @@ def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
 
 
 def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
-              outcomes: list[bool], harq: HarqConfig, table: McsTable,
-              ctx: _VlContext | None = None) -> tuple[list[PacketState], int, int]:
+              outcomes: list[bool], harq: HarqConfig) -> tuple[list[PacketState], int, int]:
     """Apply per-packet ACK/NACK outcomes; returns (new buffer, acked, drops).
 
     ACK removes the packet; NACK folds the round into the aggregate SNR
     and increments the round counter, discarding the packet once the round
-    budget is spent.  The buffer is topped up with fresh packets.
+    budget is spent.  The buffer is topped up with fresh packets, to
+    max_rounds packets per primary length.
     """
-    if ctx is None:
-        ctx = _VlContext(harq, table)
     if not (len(assignment) == len(outcomes) == len(buffer)):
         raise ValueError("assignment/outcomes must align with the buffer")
     acked = 0
@@ -469,8 +468,8 @@ def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
                                           snr_sigma=snr_prime))
         else:
             drops += 1
-    while len(new_buffer) < ctx.buffer_cap:
-        new_buffer.append(PacketState())
+    cap = harq.max_rounds * len(harq.lengths_primary)
+    new_buffer += [PacketState() for _ in range(cap - len(new_buffer))]
     return new_buffer, acked, drops
 
 
@@ -534,8 +533,8 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                     acked = len(oks)  # nothing to retransmit: still all fresh
                 else:
                     outcomes = [False] * (ctx.buffer_cap - len(oks)) + oks
-                    buffer, acked, dropped = vl_update(fresh_buffer, fresh_assign[j], g, outcomes,
-                                                       harq, table, ctx)
+                    buffer, acked, dropped = vl_update(fresh_buffer, fresh_assign[j], g,
+                                                       outcomes, harq)
             else:
                 assign = vl_schedule(buffer, g, harq, table, ctx)
                 outcomes = []
@@ -549,18 +548,16 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                         l = ctx.len_to_l[pkt.first_len]
                         f = _vl_failure_probs(pkt, (length,), g, table, l)[0]
                     outcomes.append(next(uniforms) >= f)
-                buffer, acked, dropped = vl_update(buffer, assign, g, outcomes, harq, table, ctx)
+                buffer, acked, dropped = vl_update(buffer, assign, g, outcomes, harq)
             drops += dropped
             if buffer is not None and all(pkt.harq_count == 0 for pkt in buffer):
                 buffer = None
             acked_total += acked
             batch_acked[min(i // batch_size, _N_BATCHES - 1)] += acked
 
-    ratios = r1 * np.array(batch_acked, dtype=float) / batch_size
-    ci = 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
     return SimResult(
         throughput=r1 * acked_total / blocks,
-        ci_half_width=ci,
+        ci_half_width=_ci(r1 * np.array(batch_acked, dtype=float) / batch_size),
         blocks=blocks,
         acked_packets=acked_total,
         drops=drops,

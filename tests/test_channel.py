@@ -5,13 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from harqlink.channel import (ChannelConfig, FadingMode, db_to_linear,
-                              draw_exponential, exp_mass, linear_to_db,
-                              make_stream)
+                              draw_exponential, linear_to_db, make_stream)
+from harqlink.coding import McsTable, first_round_cum
 
 
 def snr_pdf(gamma, avg_snr: float):
     """Exponential SNR density (1/avg) * exp(-gamma/avg) of Rayleigh fading:
-    the law that exp_mass and the closed-form averages integrate."""
+    the law that the closed-form averages of first_round_cum integrate."""
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise ValueError("SNR must be nonnegative")
@@ -28,7 +28,8 @@ def test_pdf_normalizes_and_has_correct_mean():
         assert mass == pytest.approx(1.0, abs=1e-9)
         assert mean == pytest.approx(avg, rel=1e-9)
         part, _ = quad(lambda g: snr_pdf(g, avg), 0.2, 1.5)
-        assert exp_mass(0.2, 1.5, avg) == pytest.approx(part, rel=1e-12)
+        hi, lo = first_round_cum(1, (1.5, 0.2), McsTable(rates=(1.0,)), avg)[0]
+        assert hi - lo == pytest.approx(part, rel=1e-12)
 
 
 def test_pdf_matches_exponential_formula():

@@ -239,13 +239,20 @@ def test_cli_bad_input_exit_code(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     for workers in ("1", "2"):
         monkeypatch.setenv("HARQLINK_WORKERS", workers)
-        # unknown key, bad choice, bad type, no '=' and a nested config, on line 2
-        for line in ("shemes = harq-ir", "fading = slwo", "k = two", "snr-db 10:1:10",
-                     f"config = {cfg}"):
+        # unknown key, bad choice, bad types, no '=' and a nested config, on line 2
+        for line in ("shemes = harq-ir", "fading = slwo", "k = two", "rates = 2,a",
+                     "snr-db 10:1:10", f"config = {cfg}"):
             cfg.write_text("# run\n" + line + "\n")
             capsys.readouterr()
             assert main(base + ["--config", str(cfg)]) == 2
-            assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cfg}:2: ") and "_rates" not in err
+        # a flag that argparse rejects exits 2, naming the flag but not its type
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--rates", "2,a"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rates: want a comma list of rates, got '2,a'" in err and "_rates" not in err
         for flags in (["--a-tilde", "-1"], ["--rates", "2,1"],
                       ["--regions", "per-target", "--per-target-ploss", "2"]):
             assert main(base + flags) == 2

@@ -8,10 +8,10 @@ from scipy.special import gammainc, gammaincc
 
 from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
                           amc_thresholds_exact)
-from harqlink.channel import exp_mass, make_stream
-from harqlink.coding import (CombiningType, McsTable, mutual_information,
-                             mutual_information_inv, per, per_erlang_rows,
-                             per_pdf_mass)
+from harqlink.channel import make_stream
+from harqlink.coding import (CombiningType, McsTable, first_round_cum,
+                             mutual_information, mutual_information_inv, per,
+                             per_erlang_rows)
 from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
                                     fast_throughput, slow_cascades, slow_throughput,
                                     slow_throughput_at, two_round_bound)
@@ -96,18 +96,44 @@ def test_harq_config_validation():
     assert ok.max_rounds == 4
 
 
-def test_exp_mass():
-    assert exp_mass(0.0, math.inf, 3.0) == pytest.approx(1.0)
-    assert exp_mass(1.0, 2.0, 3.0) == pytest.approx(math.exp(-1 / 3) - math.exp(-2 / 3), rel=1e-12)
+def region_mass(l, a, b, avg_snr):
+    """P(a <= SNR < b) and the integral of pdf * PER_l over [a, b), as the
+    differences of the first_round_cum rows at b and at a."""
+    p, f = first_round_cum(l, (b, a), TABLE, avg_snr)
+    return p[0] - p[1], f[0] - f[1]
 
 
-def test_per_pdf_mass_matches_quadrature():
+def test_first_round_cum_probability_row():
+    assert region_mass(3, 0.0, math.inf, 3.0)[0] == pytest.approx(1.0)
+    assert region_mass(3, 1.0, 2.0, 3.0)[0] == pytest.approx(
+        math.exp(-1 / 3) - math.exp(-2 / 3), rel=1e-12)
+
+
+def test_first_round_cum_per_row_matches_quadrature():
     for l, a, b in [(3, 0.0, math.inf), (3, 1.0, 6.0), (5, 10.0, 40.0), (1, 0.0, 0.3)]:
         want, _ = quad(lambda x: per(l, x, TABLE) * math.exp(-x / 7.0) / 7.0,
                        a, 200.0 if math.isinf(b) else b,
                        points=[TABLE.threshold(l)] if b > TABLE.threshold(l) > a and not math.isinf(b) else None,
                        limit=200)
-        assert per_pdf_mass(l, a, b, TABLE, 7.0) == pytest.approx(want, abs=1e-9)
+        assert region_mass(l, a, b, 7.0)[1] == pytest.approx(want, abs=1e-9)
+
+
+def test_first_round_masses_reject_nonpositive_avg_snr():
+    regions = amc_thresholds_exact(TABLE)
+    for avg in (0.0, -1.0):
+        with pytest.raises(ValueError, match="avg_snr"):
+            amc_throughput(regions, TABLE, avg)
+        with pytest.raises(ValueError, match="avg_snr"):
+            two_round_bound(regions, TABLE, avg)
+
+
+def test_first_round_cum_broadcasts_rates_against_points():
+    l = np.array([1, 3, 5])
+    x = np.array([[0.5, 2.0, math.inf], [0.0, 1.0, 30.0]])
+    m = first_round_cum(l, x, TABLE, 4.0)
+    assert m.shape == (2, 2, 3)
+    for i, j in np.ndindex(x.shape):
+        assert np.array_equal(m[:, i, j], first_round_cum(int(l[j]), x[i, j], TABLE, 4.0))
 
 
 def test_slow_cascade_values():
@@ -202,8 +228,8 @@ def test_region_integrals_match_closed_form_near_27_25_db():
     regions = amc_thresholds_exact(TABLE)
     avg = 10.0 ** 2.7252
     t = list(regions.thresholds) + [math.inf]
-    want = sum(TABLE.rate(l) * (exp_mass(t[l - 1], t[l], avg)
-                                - per_pdf_mass(l, t[l - 1], t[l], TABLE, avg))
+    want = sum(TABLE.rate(l) * (math.exp(-t[l - 1] / avg) - math.exp(-t[l] / avg)
+                                - region_mass(l, t[l - 1], t[l], avg)[1])
                for l in range(1, 6))
     assert amc_throughput(regions, TABLE, avg).value == pytest.approx(want, abs=1e-10)
     for combining in (CombiningType.RR, CombiningType.IR):
@@ -329,8 +355,8 @@ def test_cum_mass_region_masses():
     # f_{1,l} agrees with the closed-form region mass
     t = list(regions.thresholds) + [math.inf]
     for l in range(1, 6):
-        want = per_pdf_mass(l, t[l - 1], t[l], TABLE, 10.0) / exp_mass(t[l - 1], t[l], 10.0)
-        assert f[0, l - 1] == pytest.approx(want, rel=1e-9)
+        p_l, f_l = region_mass(l, t[l - 1], t[l], 10.0)
+        assert f[0, l - 1] == pytest.approx(f_l / p_l, rel=1e-9)
     # with K = 1 a cycle is one round, so its expected duration is p
     tables = FastFadingTables(TABLE, 1, CombiningType.IR, 10.0)
     _, cost = tables.reward_cost(np.arange(1, 6), (t[1:], t[:-1]))
@@ -355,7 +381,7 @@ def test_cum_mass_is_closed_form_and_np_interp(K, combining):
     m = tables.cum_mass(l, x)
     assert m.shape == (K + 1, x.size)
     assert np.array_equal(m[0], -np.expm1(-x / 3.0))
-    assert np.array_equal(m[1], [per_pdf_mass(int(r), 0.0, v, TABLE, 3.0) for r, v in zip(l, x)])
+    assert np.array_equal(m[1], [first_round_cum(int(r), v, TABLE, 3.0)[1] for r, v in zip(l, x)])
     for k in range(2, K + 1):
         want = [np.interp(v, tables.x, tables.cum[k - 2, r - 1]) for r, v in zip(l, x)]
         assert np.array_equal(m[k], want)
@@ -385,7 +411,7 @@ def test_fast_throughput_single_rate_thresholds_with_inf():
         regions = DecisionRegions(RegionKind.THRESHOLDS,
                                   thresholds=(0.0,) * m + (math.inf,) * (5 - m))
         got = fast_throughput(regions, 1, CombiningType.IR, TABLE, 10.0).value
-        want = TABLE.rate(m) * (1.0 - per_pdf_mass(m, 0.0, math.inf, TABLE, 10.0))
+        want = TABLE.rate(m) * (1.0 - region_mass(m, 0.0, math.inf, 10.0)[1])
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -412,8 +438,8 @@ def test_posterior_rate_identity():
     regions = amc_thresholds_exact(TABLE)
     avg = 50.0
     t = list(regions.thresholds) + [math.inf]
-    p = np.array([exp_mass(t[l - 1], t[l], avg) for l in range(1, 6)])
-    f1 = np.array([per_pdf_mass(l, t[l - 1], t[l], TABLE, avg) / p[l - 1] for l in range(1, 6)])
+    p, f1 = np.array([region_mass(l, t[l - 1], t[l], avg) for l in range(1, 6)]).T
+    f1 = f1 / p
     rates = np.asarray(TABLE.rates)
     f1_bar = float(np.sum(f1 * p))
     route_a = float(np.sum(rates * f1 * p)) / f1_bar

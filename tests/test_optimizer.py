@@ -52,11 +52,32 @@ def test_reward_cost_sign_brackets_throughput():
     regions = amc_thresholds_exact(TABLE)
     eta = fast_throughput(regions, 4, CombiningType.IR, TABLE, 10.0, tables=tables).value
     t = np.array(regions.thresholds)
-    n, c = tables.reward_cost(np.arange(1, 6), (np.append(t[1:], math.inf), t))
-    reward, cost = np.sum(n[0] - n[1]), np.sum(c[0] - c[1])
+    reward, cost = tables.renewal_sums(np.arange(1, 6), t, np.append(t[1:], math.inf))
     assert reward - (eta - 1e-3) * cost > 0
     assert reward - (eta + 1e-3) * cost < 0
     assert reward - eta * cost == pytest.approx(0.0, abs=1e-9)
+
+
+def test_tables_built_for_another_problem_are_rejected():
+    # K = 4 IR tables at 10 dB used to answer for K = 2 RR at 3 dB: 1.96212
+    # where 0.96851 is right, and an optimum of 1.97304 for 0.97345
+    tables = FastFadingTables(TABLE, 4, CombiningType.IR, 10.0)
+    regions = amc_thresholds_exact(TABLE)
+    others = [(TABLE, 2, CombiningType.RR, 3.0), (TABLE, 4, CombiningType.RR, 10.0),
+              (TABLE, 3, CombiningType.IR, 10.0), (TABLE, 4, CombiningType.IR, 3.0),
+              (McsTable(rates=TABLE.rates, a_tilde=2.0), 4, CombiningType.IR, 10.0)]
+    for table, K, combining, avg in others:
+        with pytest.raises(ValueError, match="another"):
+            fast_throughput(regions, K, combining, table, avg, tables=tables)
+        with pytest.raises(ValueError, match="another"):
+            fast_optimize_regions(K, combining, table, avg, tables=tables)
+    assert fast_throughput(regions, 2, CombiningType.RR, TABLE, 3.0).value == pytest.approx(
+        0.96851, abs=1e-5)
+    assert fast_optimize_regions(2, CombiningType.RR, TABLE, 3.0).throughput.value == (
+        pytest.approx(0.97345, abs=1e-5))
+    same = McsTable(rates=TABLE.rates, a_tilde=4.0)
+    assert (fast_throughput(regions, 4, CombiningType.IR, same, 10.0, tables=tables).value
+            == fast_throughput(regions, 4, CombiningType.IR, TABLE, 10.0).value)
 
 
 @pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])

@@ -286,8 +286,7 @@ def test_vl_update_semantics():
     buffer = [last, mid] + [PacketState() for _ in range(ctx.buffer_cap - 2)]
     assign = [0.5, 0.25, 1.0] + [0.0] * (ctx.buffer_cap - 3)
     outcomes = [False, True, False] + [False] * (ctx.buffer_cap - 3)
-    new, acked, drops = vl_update(buffer, assign, 1.0, outcomes, VL_HARQ,
-                                  VL_TABLE, ctx)
+    new, acked, drops = vl_update(buffer, assign, 1.0, outcomes, VL_HARQ)
     assert acked == 1  # the ACKed packet leaves the buffer
     assert drops == 1  # the budget-exhausted packet is discarded
     assert len(new) == ctx.buffer_cap  # refilled with fresh packets
@@ -302,7 +301,7 @@ def test_vl_update_semantics():
 
 def test_vl_update_validates_alignment():
     with pytest.raises(ValueError):
-        vl_update([PacketState()], [1.0, 0.5], 1.0, [True], VL_HARQ, VL_TABLE)
+        vl_update([PacketState()], [1.0, 0.5], 1.0, [True], VL_HARQ)
 
 
 def test_vl_simulation_runs_and_beats_nothing_scheduled():
