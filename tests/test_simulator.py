@@ -263,6 +263,29 @@ def test_vl_schedule_respects_budget_and_is_exhaustive():
         assert got == pytest.approx(best, abs=1e-9)
 
 
+def test_vl_schedule_without_ctx_builds_one_context(monkeypatch):
+    from harqlink import simulator
+    ctx = simulator._VlContext(VL_HARQ, VL_TABLE)
+    built = []
+
+    class Counted(simulator._VlContext):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    simulator._vl_context.cache_clear()
+    monkeypatch.setattr(simulator, "_VlContext", Counted)
+    buffer = [PacketState(harq_count=1, first_len=1.0, snr_sigma=0.3),
+              PacketState(), PacketState(), PacketState()]
+    try:
+        for gamma in (0.4, 20.0):
+            assert (vl_schedule(buffer, gamma, VL_HARQ, VL_TABLE)
+                    == vl_schedule(buffer, gamma, VL_HARQ, VL_TABLE, ctx))
+    finally:
+        simulator._vl_context.cache_clear()
+    assert built == [(VL_HARQ, VL_TABLE)]
+
+
 def _expected_acks(buffer, assign, gamma, ctx):
     from harqlink.simulator import _vl_failure_probs
     total = 0.0
