@@ -3,8 +3,8 @@ variable-length HARQ with per-block exhaustive scheduling.
 
 Per-round outcomes follow the backward-implication error model: given the
 previous rounds failed, round k fails with probability f_k / f_{k-1},
-where f_k = PER(aggregate SNR after k rounds).  Sampling one uniform per
-cycle against the nested cascade reproduces that law exactly.
+where f_k = PER(aggregate SNR after k rounds).  One uniform per block
+(fast fading) or per cycle against the nested cascade (slow) reproduces it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .coding import (CombiningType, McsTable, mutual_information,
 from .harq_analysis import HarqConfig, HarqVariant, slow_cascades
 
 _N_BATCHES = 50
-_CHUNK = 1 << 16  # rows of a vectorized pass: plain cycles, packet-drop starts
+_CHUNK = 1 << 16  # rows of a vectorized pass: fast-fading cycle starts
 
 
 @dataclass
@@ -42,6 +42,13 @@ class PacketState:
 
 @dataclass(frozen=True)
 class SimResult:
+    """One Monte Carlo estimate: `throughput` in rate units per block, its
+    3-sigma batch-means `ci_half_width`, the `blocks` simulated (exactly the
+    requested count on the fast paths, at least it on the slow path, which
+    runs whole cycles), the `acked_packets`, and the `drops`: packets
+    abandoned without an ACK, by a K-th failure or, for packet drop, by an
+    index rise."""
+
     throughput: float
     ci_half_width: float
     blocks: int
@@ -52,17 +59,6 @@ class SimResult:
 def _ci(ratios: np.ndarray) -> float:
     """3-sigma half width of the mean of _N_BATCHES batch estimates."""
     return 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
-
-
-def _batch_ci(rewards: np.ndarray, durations: np.ndarray) -> float:
-    """3-sigma half width of the ratio estimator via batch means."""
-    n = rewards.size
-    if n < _N_BATCHES:
-        return math.inf
-    cut = (n // _N_BATCHES) * _N_BATCHES
-    r = rewards[:cut].reshape(_N_BATCHES, -1).sum(axis=1)
-    d = durations[:cut].reshape(_N_BATCHES, -1).sum(axis=1)
-    return _ci(r / np.maximum(d, 1e-300))
 
 
 _SLOW_CYCLES_PER_DRAW = 512
@@ -103,58 +99,17 @@ def _simulate_slow_ratio(regions: DecisionRegions, K: int, combining: CombiningT
         ci_half_width=_ci(means),
         blocks=total_rounds,
         acked_packets=acked,
+        drops=ratios.size * m - acked,  # every drawn SNR runs m cycles
     )
 
 
 def simulate_plain(regions: DecisionRegions, harq: HarqConfig, table: McsTable,
                    channel: ChannelConfig, blocks: int, stream_id: int = 0) -> SimResult:
-    """Plain AMC-HARQ cycle simulation; the oracle for the analytic paths."""
+    """Plain AMC-HARQ cycle simulation; the oracle for the analytic paths.
+    It is packet drop with the index-rise test off (see `_simulate_cycles`)."""
     if harq.variant is not HarqVariant.PLAIN:
         raise ValueError("simulate_plain requires the plain variant")
-    if blocks < 10 ** 5:
-        raise ValueError("blocks must be >= 1e5")
-    K = harq.max_rounds
-    if channel.fading_mode is FadingMode.SLOW:
-        return _simulate_slow_ratio(regions, K, harq.combining, table, channel,
-                                    blocks, stream_id)
-    gen = make_stream(channel.seed, stream_id)
-    rates = np.asarray(table.rates)
-    thresholds = np.asarray(table.thresholds)
-
-    rewards, durations = [], []
-    total_rounds = 0
-    acked = 0
-    while total_rounds < blocks:
-        n = min(1 << 18, max(1024, blocks - total_rounds))
-        snr_rows = draw_exponential(gen, channel.avg_snr, (n, K))
-        v = gen.random(n)
-        l_hat = classify(snr_rows[:, 0], regions)
-        n_fail = np.empty(n, dtype=np.intp)
-        for s in range(0, n, _CHUNK):  # slices keep the temporaries small
-            rows = slice(s, s + _CHUNK)
-            if harq.combining is CombiningType.RR:
-                agg = np.cumsum(snr_rows[rows], axis=1)
-            else:
-                agg = mutual_information_inv(np.cumsum(mutual_information(snr_rows[rows]), axis=1))
-            f = per_at(agg, thresholds[l_hat[rows] - 1][:, None], table.a_tilde)
-            n_fail[rows] = (v[rows, None] < f).sum(axis=1)  # nested events: prefix of failures
-        success = n_fail < K
-        rounds = np.where(success, n_fail + 1, K)
-        reward = np.where(success, rates[l_hat - 1], 0.0)
-        rewards.append(reward)
-        durations.append(rounds)
-        total_rounds += int(rounds.sum())
-        acked += int(success.sum())
-
-    rewards = np.concatenate(rewards)
-    durations = np.concatenate(durations)
-    total = int(durations.sum())
-    return SimResult(
-        throughput=float(rewards.sum()) / total,
-        ci_half_width=_batch_ci(rewards, durations.astype(float)),
-        blocks=total,
-        acked_packets=acked,
-    )
+    return _simulate_cycles(regions, harq, table, channel, blocks, stream_id)
 
 
 def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsTable,
@@ -164,32 +119,40 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
     the same block; it is also dropped when its K-th round fails, and the
     fresh cycle starts in the next block.  In slow fading the index never
     changes, so this is distributionally identical to the plain protocol.
-
-    RNG contract: all block SNRs are drawn first, then one uniform per
-    block, from the same stream.  Every block consumes its uniform whatever
-    the protocol state, so the cycle that would start fresh at block i has
-    an outcome fixed by blocks i .. i+K-1.  That outcome is computed for
-    every i in vectorized passes over chunks of blocks, and a walk follows
-    the next-start pointers from block 0, one step per multi-block cycle.
-    Rewards are added in block order, as a block-by-block loop adds them,
-    and a failed first round with K = 1 is a drop.  The passes run on
-    the array paths of `per_at` and `mutual_information_inv`, which can
-    differ from the scalar paths in the last bit, so the result equals that
-    of a block loop on the scalar paths unless a decision u < p_k / p_{k-1}
-    or an aggregate-SNR threshold test falls within an ulp.
-    """
+    The RNG contract is that of `_simulate_cycles`."""
     if harq.variant is not HarqVariant.PACKET_DROP:
         raise ValueError("simulate_packet_drop requires the packet-drop variant")
+    return _simulate_cycles(regions, harq, table, channel, blocks, stream_id)
+
+
+def _simulate_cycles(regions: DecisionRegions, harq: HarqConfig, table: McsTable,
+                     channel: ChannelConfig, blocks: int, stream_id: int) -> SimResult:
+    """Plain or packet-drop HARQ cycles; only packet drop runs the index-rise
+    test.  Fast-fading RNG contract: all block SNRs are drawn first, then one
+    uniform per block, from the same stream.  Every block consumes its
+    uniform whatever the protocol state, so the cycle that would start
+    fresh at block i has an outcome fixed by blocks i .. i+K-1.  That
+    outcome is computed for every i in vectorized passes over chunks of
+    blocks, and a walk follows the next-start pointers from block 0, one
+    step per multi-block cycle.  Rewards are added in block order, as a
+    block-by-block loop adds them, and a failed K-th round (the first, for
+    K = 1) is a drop.  The passes run on the array paths of `per_at` and
+    `mutual_information_inv`, which can differ from the scalar paths in the
+    last bit, so the result equals that of a block loop on the scalar paths
+    unless a decision u < p_k / p_{k-1} or an aggregate-SNR threshold test
+    falls within an ulp.
+    """
     if blocks < 10 ** 5:
         raise ValueError("blocks must be >= 1e5")
     K = harq.max_rounds
     if channel.fading_mode is FadingMode.SLOW:
         # the observed index never changes within a cycle, so no drop ever
-        # fires and the protocol reduces to the plain one
+        # fires and the packet-drop protocol reduces to the plain one
         return _simulate_slow_ratio(regions, K, harq.combining, table, channel,
                                     blocks, stream_id)
     gen = make_stream(channel.seed, stream_id)
     rr = harq.combining is CombiningType.RR
+    drop_on_rise = harq.variant is HarqVariant.PACKET_DROP
     thresholds = np.asarray(table.thresholds)
     rates = np.asarray(table.rates)
     gammas = draw_exponential(gen, channel.avg_snr, blocks)
@@ -223,9 +186,10 @@ def simulate_packet_drop(regions: DecisionRegions, harq: HarqConfig, table: McsT
                 on = live + k < g.size  # the others stay unfinished
                 live, hsum, prev = live[on], hsum[on], prev[on]
                 j = live + k
-                rise = l_hat[j] > l_hat[live]  # a drop, and a fresh start in this block
-                end[live[rise]] = nxt[live[rise]] = j[rise]
-                live, hsum, prev, j = live[~rise], hsum[~rise], prev[~rise], j[~rise]
+                if drop_on_rise:
+                    rise = l_hat[j] > l_hat[live]  # a drop, and a fresh start in this block
+                    end[live[rise]] = nxt[live[rise]] = j[rise]
+                    live, hsum, prev, j = live[~rise], hsum[~rise], prev[~rise], j[~rise]
                 hsum = hsum + h[j]
                 p_k = per_at(hsum if rr else mutual_information_inv(hsum), th[live], table.a_tilde)
                 cond = np.divide(p_k, prev, out=np.zeros_like(p_k), where=prev > 0.0)

@@ -93,8 +93,8 @@ def test_packet_drop_slow_equals_plain_engine():
                               TABLE, _chan(10.0, mode=FadingMode.SLOW), 10 ** 5)
     plain = simulate_plain(REGIONS, _harq(), TABLE,
                            _chan(10.0, mode=FadingMode.SLOW), 10 ** 5)
-    assert pd.throughput == plain.throughput
-    assert pd.drops == 0
+    assert pd == plain
+    assert pd.drops > 0  # cycles whose K rounds all fail
 
 
 def test_packet_drop_fast_tracks_amc_at_high_snr():
@@ -155,12 +155,14 @@ def _packet_drop_pin_run(combining, K, snr_db, a_tilde, seed):
 
 def _packet_drop_block_loop(regions, harq, table, channel, blocks, stream_id):
     """Reference: packet-drop HARQ walked block by block on the scalar
-    per_at and mutual_information_inv, with the same draws and sums."""
+    per_at and mutual_information_inv, with the same draws and sums; for
+    the plain variant the index-rise drop is off."""
     from harqlink.amc import classify
     from harqlink.channel import draw_exponential, make_stream
     from harqlink.coding import mutual_information_inv, per_at
     gen = make_stream(channel.seed, stream_id)
     rr, K = harq.combining is CombiningType.RR, harq.max_rounds
+    drop_on_rise = harq.variant is HarqVariant.PACKET_DROP
     gammas = draw_exponential(gen, channel.avg_snr, blocks)
     l_hats = classify(gammas, regions)
     p_fresh = per_at(gammas, np.asarray(table.thresholds)[l_hats - 1], table.a_tilde).tolist()
@@ -169,7 +171,7 @@ def _packet_drop_block_loop(regions, harq, table, channel, blocks, stream_id):
     reward, acked, drops, active = 0.0, 0, 0, False
     batch_rewards, batch_size = np.zeros(50), blocks // 50
     for i in range(blocks):
-        if active and l_hats[i] > l1:
+        if active and drop_on_rise and l_hats[i] > l1:
             drops, active = drops + 1, False
         if active:
             k, hsum = k + 1, hsum + h[i]
@@ -191,19 +193,40 @@ def _packet_drop_block_loop(regions, harq, table, channel, blocks, stream_id):
     return SimResult(reward / blocks, ci, blocks, acked, drops)
 
 
-@pytest.mark.parametrize("combining, K, snr_db, a_tilde, blocks", [
+_BLOCK_LOOP_CASES = [
     (_IR, 1, 4.0, 4.0, 10 ** 5),
     (_RR, 1, 20.0, _INF, 10 ** 5),
     (_RR, 6, -5.0, 4.0, 2 ** 17 + 2),   # a last chunk shorter than K - 1
     (_IR, 6, 8.0, 2.5, 2 ** 17 + 2),
     (_IR, 4, 12.0, _INF, 2 ** 17 + 1),
+]
+
+
+@pytest.mark.parametrize("combining, K, snr_db, a_tilde, blocks, variant", [
+    # packet-drop ids are the bare parameters; plain ids end in "-plain"
+    pytest.param(*case, variant, id="-".join(map(str, case)) + suffix)
+    for variant, suffix in ((HarqVariant.PACKET_DROP, ""), (HarqVariant.PLAIN, "-plain"))
+    for case in _BLOCK_LOOP_CASES
 ])
-def test_packet_drop_matches_block_loop(combining, K, snr_db, a_tilde, blocks):
+def test_packet_drop_matches_block_loop(combining, K, snr_db, a_tilde, blocks, variant):
     table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
-    args = (amc_thresholds_exact(table), _harq(combining=combining, K=K,
-                                               variant=HarqVariant.PACKET_DROP),
+    args = (amc_thresholds_exact(table), _harq(combining=combining, K=K, variant=variant),
             table, _chan(10.0 ** (snr_db / 10.0), seed=K), blocks, 5)
-    assert simulate_packet_drop(*args) == _packet_drop_block_loop(*args)
+    engine = simulate_plain if variant is HarqVariant.PLAIN else simulate_packet_drop
+    assert engine(*args) == _packet_drop_block_loop(*args)
+
+
+@pytest.mark.parametrize("table, K", [(TABLE, 1), (McsTable(rates=(1.5,), a_tilde=4.0), 4)],
+                         ids=["one-round", "one-rate"])
+def test_plain_is_packet_drop_where_no_rise_can_fire(table, K):
+    # with one round, or one rate, no index rise can end a cycle, so plain
+    # is packet drop with the rise test off, field for field
+    regions, chan = amc_thresholds_exact(table), _chan(10.0 ** 0.5, seed=12)
+    plain = simulate_plain(regions, _harq(K=K), table, chan, 10 ** 5, 2)
+    pd = simulate_packet_drop(regions, _harq(K=K, variant=HarqVariant.PACKET_DROP),
+                              table, chan, 10 ** 5, 2)
+    assert plain == pd
+    assert pd.drops > 0
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
