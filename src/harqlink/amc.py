@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .coding import McsTable, first_round_cum, per, snr_margin_delta
+from .coding import McsTable, first_round_cum, per_at, snr_margin_delta
 
 
 class RegionKind(Enum):
@@ -113,29 +113,42 @@ def classify(gamma, regions: DecisionRegions):
     return out if out.ndim else int(out)
 
 
-def amc_thresholds_exact(table: McsTable) -> DecisionRegions:
-    """Throughput-optimal thresholds: crossings of the per-rate instantaneous
-    throughput curves R_l (1 - PER_l).
+def first_float_where(pred, lo, hi) -> np.ndarray:
+    """Elementwise, the float b in (lo, hi] at which the vectorized predicate
+    `pred` turns true (it holds at b and fails one float below), for pred
+    false at lo and true at hi: bisection until no float lies strictly
+    between lo and hi, about 65 steps when hi / lo = 1e4."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        holds = pred(mid)
+        lo, hi = np.where(holds, lo, mid), np.where(holds, mid, hi)
+        mid = 0.5 * (lo + hi)
+    return hi
 
-    For a_tilde = inf the crossing degenerates to the decoding threshold.
+
+@lru_cache(maxsize=8)
+def amc_thresholds_exact(table: McsTable) -> DecisionRegions:
+    """Throughput-optimal thresholds: for every l >= 2 at once, the first
+    float at which R_l (1 - PER_l) reaches R_{l-1} (1 - PER_{l-1}), by
+    `first_float_where` on [th_l (1 + 1e-14), 1e4 th_l]; ties go to the
+    larger rate.  For a_tilde = inf the crossing is the decoding threshold.
     """
-    L = table.num_rates
     if math.isinf(table.a_tilde):
         t = (0.0,) + table.thresholds[1:]
         return DecisionRegions(RegionKind.THRESHOLDS, thresholds=t)
-    gammas = [0.0]
-    for l in range(2, L + 1):
-        rl, rm = table.rate(l), table.rate(l - 1)
+    r, th, a = np.array(table.rates), np.array(table.thresholds), table.a_tilde
 
-        def g(x, l=l, rl=rl, rm=rm):
-            return rl * (1.0 - per(l, x, table)) - rm * (1.0 - per(l - 1, x, table))
+    def right_wins(x):
+        return r[1:] * (1.0 - per_at(x, th[1:], a)) >= r[:-1] * (1.0 - per_at(x, th[:-1], a))
 
-        lo = table.threshold(l) * (1.0 + 1e-14)
-        hi = table.threshold(l) * 1e4
-        if not (g(lo) < 0 < g(hi)):
-            raise ValueError(f"no bracketed crossing for rates {rm}, {rl}")
-        gammas.append(brentq(g, lo, hi, rtol=1e-12))
-    return DecisionRegions(RegionKind.THRESHOLDS, thresholds=tuple(gammas))
+    lo, hi = th[1:] * (1.0 + 1e-14), th[1:] * 1e4
+    bad = np.flatnonzero(right_wins(lo) | ~right_wins(hi))
+    if bad.size:
+        rm, rl = table.rates[bad[0]:bad[0] + 2]
+        raise ValueError(f"no bracketed crossing for rates {rm}, {rl}")
+    gammas = first_float_where(right_wins, lo, hi)
+    return DecisionRegions(RegionKind.THRESHOLDS, thresholds=(0.0, *map(float, gammas)))
 
 
 def amc_thresholds_closed_form(table: McsTable) -> DecisionRegions:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .amc import DecisionRegions, ThroughputEstimate
 from .coding import (CombiningType, McsTable, first_round_cum, mutual_information,
@@ -267,17 +266,17 @@ def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
     """(k - 2, l - 1, f_{k,l}) for every IR row of FastFadingTables, k outer:
     each row is irfft(G_l conj(P_{k-1}), 2n)[:n] dv, clipped to [0, 1]."""
     x_ext = mutual_information_inv(np.arange(2 * n) * dv)
-    g_spectra = [rfft(per(l, x_ext, table)) for l in range(1, table.num_rates + 1)]
+    g_spectra = [np.fft.rfft(per(l, x_ext, table)) for l in range(1, table.num_rates + 1)]
     # p_1, the density of one round's MI
     p = math.log(2.0) * (1.0 + x) * np.exp(-x / avg_snr) / avg_snr
-    p1_spectrum = p_spectrum = rfft(p, 2 * n)
+    p1_spectrum = p_spectrum = np.fft.rfft(p, 2 * n)
     for k in range(2, K + 1):
         if k > 2:  # p becomes the density of the MI summed over k - 1 rounds
-            p = irfft(p_spectrum * p1_spectrum, 2 * n)[:n] * dv
-            p_spectrum = rfft(p, 2 * n)
+            p = np.fft.irfft(p_spectrum * p1_spectrum, 2 * n)[:n] * dv
+            p_spectrum = np.fft.rfft(p, 2 * n)
         p_conj = p_spectrum.conj()
         for l, g in enumerate(g_spectra):
-            yield k - 2, l, np.clip(irfft(g * p_conj, 2 * n)[:n] * dv, 0.0, 1.0)
+            yield k - 2, l, np.clip(np.fft.irfft(g * p_conj, 2 * n)[:n] * dv, 0.0, 1.0)
 
 
 def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,

@@ -1,7 +1,9 @@
 """Decision-region optimization.
 
 Slow fading: the optimal regions are pointwise argmax sets of the per-rate
-throughput curves and come out as unions of intervals.  Fast fading: the
+throughput curves and come out as unions of intervals, each boundary the
+first float at which the winner changes (`amc.first_float_where`, the
+bisection that also places the exact AMC thresholds).  Fast fading: the
 throughput is the ratio N/C of a cycle's expected reward and duration,
 the region sums of FastFadingTables.renewal_sums that fast_throughput also
 takes.  One term per threshold makes it an exact monotone DP over the
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amc import DecisionRegions, RegionKind, ThroughputEstimate
+from .amc import DecisionRegions, RegionKind, ThroughputEstimate, first_float_where
 from .coding import CombiningType, McsTable
 from .harq_analysis import FastFadingTables, slow_throughput_at
 
@@ -58,10 +60,11 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable) -> D
     """Union-of-intervals regions maximizing the per-SNR throughput.
 
     Scans a log grid for the argmax rate, merges runs into intervals, and
-    refines each boundary by bisection on the winner change to 1e-6
-    relative.  Argmax ties go to the larger rate; SNRs where every rate
-    has zero throughput are assigned to rate 1 (the choice there carries
-    no throughput).
+    places every boundary at once by `first_float_where` in its grid cell:
+    the first float at which the winner differs from the cell's left end.
+    Argmax ties go to the larger rate; SNRs where every rate has zero
+    throughput are assigned to rate 1 (the choice there carries no
+    throughput).
     """
     def winners(grid):
         eta = slow_throughput_at(grid, K, combining, table)  # (n, L)
@@ -85,9 +88,10 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable) -> D
             [grid] + [np.linspace(grid[i - 1], grid[i + 1], 20) for i in inner]))
         w = winners(grid)
 
-    # one interval per run, with refined boundaries
+    # one interval per run, each boundary the first float where the winner changes
     labels = w[np.append(0, cuts + 1)]
-    edges = [0.0] + [_refine_boundary(grid[j], grid[j + 1], winners) for j in cuts] + [math.inf]
+    bounds = first_float_where(lambda x: winners(x) != w[cuts], grid[cuts], grid[cuts + 1])
+    edges = [0.0, *map(float, bounds), math.inf]
 
     L = table.num_rates
     per_l: list[list[tuple[float, float]]] = [[] for _ in range(L)]
@@ -98,17 +102,6 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable) -> D
         else:
             ivs.append((a, b))
     return DecisionRegions(RegionKind.INTERVALS, intervals=tuple(tuple(iv) for iv in per_l))
-
-
-def _refine_boundary(a: float, b: float, winners) -> float:
-    wa = winners(np.array([a]))[0]
-    while (b - a) > 1e-6 * max(b, 1e-12):
-        mid = 0.5 * (a + b)
-        if winners(np.array([mid]))[0] == wa:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
                           amc_thresholds_closed_form, amc_thresholds_exact,
                           amc_thresholds_per_target, classify)
-from harqlink.coding import McsTable, per
+from harqlink.coding import McsTable, per, per_at
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 STEP_TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=math.inf)
@@ -35,6 +35,30 @@ def test_exact_thresholds_equalize_instantaneous_throughput():
         lhs = TABLE.rate(l) * (1.0 - per(l, g, TABLE))
         rhs = TABLE.rate(l - 1) * (1.0 - per(l - 1, g, TABLE))
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("rates", [TABLE.rates, (0.75, 1.5, 3.0)], ids=["default", "three-rate"])
+@pytest.mark.parametrize("a_tilde", [2.5, 4.0, 8.0])
+def test_exact_thresholds_are_exact_to_the_last_bit(rates, a_tilde):
+    # rate l's throughput reaches rate l-1's at gamma_l and not one float
+    # below it, on the array arithmetic of amc_thresholds_exact (the scalar
+    # PER path can differ from it in the last bit)
+    table = McsTable(rates=rates, a_tilde=a_tilde)
+    r, th = np.array(rates), np.array(table.thresholds)
+    gammas = np.array(amc_thresholds_exact(table).thresholds[1:])
+
+    def right_minus_left(x):
+        return (r[1:] * (1.0 - per_at(x, th[1:], a_tilde))
+                - r[:-1] * (1.0 - per_at(x, th[:-1], a_tilde)))
+
+    assert np.all(right_minus_left(gammas) >= 0.0)
+    assert np.all(right_minus_left(np.nextafter(gammas, 0.0)) < 0.0)
+
+
+def test_exact_thresholds_need_a_bracketed_crossing():
+    # so slow a PER decay that rate 1 still leads at 1e4 times rate 2's threshold
+    with pytest.raises(ValueError, match="no bracketed crossing for rates 1.0, 5.0"):
+        amc_thresholds_exact(McsTable(rates=(1.0, 5.0), a_tilde=1e-5))
 
 
 def test_boundary_per_values():

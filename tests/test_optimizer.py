@@ -5,7 +5,7 @@ import pytest
 
 from harqlink.amc import RegionKind, amc_thresholds_exact, classify
 from harqlink.coding import CombiningType, McsTable
-from harqlink.harq_analysis import FastFadingTables, fast_throughput
+from harqlink.harq_analysis import FastFadingTables, fast_throughput, slow_throughput_at
 from harqlink.optimizer import fast_optimize_regions, slow_optimal_regions
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
@@ -15,11 +15,12 @@ def test_slow_regions_k1_reduce_to_amc_thresholds():
     regions = slow_optimal_regions(1, CombiningType.IR, TABLE)
     amc = amc_thresholds_exact(TABLE).thresholds
     # every rate occupies a single interval whose lower edge is the AMC
-    # threshold (boundary refinement tolerance: 1e-6 relative)
+    # threshold; both are last-bit crossings, and IR's log2/exp2 round trip
+    # in the cascade can move its curves by an ulp
     for l in range(1, 6):
         ivs = regions.intervals_for(l)
         assert len(ivs) == 1
-        assert ivs[0][0] == pytest.approx(amc[l - 1], rel=1e-4, abs=1e-6)
+        assert ivs[0][0] == pytest.approx(amc[l - 1], rel=1e-14, abs=0.0)
 
 
 def test_slow_regions_match_pointwise_argmax():
@@ -31,6 +32,29 @@ def test_slow_regions_match_pointwise_argmax():
     for g, etas in zip(grid, slow_throughput_at(grid, 3, CombiningType.IR, TABLE)):
         chosen = int(classify(float(g), regions))
         assert etas[chosen - 1] >= max(etas) - 1e-9
+
+
+@pytest.mark.parametrize("combining", list(CombiningType), ids=lambda c: c.value)
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("a_tilde", [4.0, math.inf])
+def test_slow_boundaries_are_exact_to_the_last_bit(combining, K, a_tilde):
+    # the rate right of a boundary wins at it, the rate left of it one float
+    # below; winners as slow_optimal_regions scans them (ties to the larger
+    # rate, rate 1 where every rate has zero throughput), on the same arrays
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    labels, lows, _ = slow_optimal_regions(K, combining, table).labelled_intervals()
+    order = np.argsort(lows)
+    labels, bounds = np.array(labels)[order], np.array(lows)[order][1:]
+
+    def winners(x):
+        eta = slow_throughput_at(x, K, combining, table)
+        w = table.num_rates - np.argmax(eta[:, ::-1], axis=1)
+        w[np.all(eta <= 0.0, axis=1)] = 1
+        return w
+
+    assert bounds.size
+    assert np.array_equal(winners(bounds), labels[1:])
+    assert np.array_equal(winners(np.nextafter(bounds, 0.0)), labels[:-1])
 
 
 def test_slow_regions_two_rate_union_structure():

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from harqlink.amc import amc_thresholds_exact
 from harqlink.channel import ChannelConfig, FadingMode
 from harqlink.coding import CombiningType, McsTable, mutual_information, per
 from harqlink.harq_analysis import (HarqConfig, HarqVariant, fast_throughput,
-                                    slow_throughput)
-from harqlink.simulator import (PacketState, SimResult, simulate_packet_drop,
-                                simulate_plain, simulate_vl, vl_schedule,
-                                vl_update)
+                                    slow_cascades, slow_throughput)
+from harqlink.simulator import (_SLOW_CYCLES_PER_DRAW, PacketState, SimResult,
+                                simulate_packet_drop, simulate_plain, simulate_vl,
+                                vl_schedule, vl_update)
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 REGIONS = amc_thresholds_exact(TABLE)
@@ -69,23 +70,32 @@ def test_slow_mc_matches_analytic():
 
 
 def test_nested_outcome_sampling_reproduces_cascade():
-    # with a single fixed SNR (slow fading, K rounds) the fraction of cycles
-    # needing > k rounds must match the conditional cascade at that SNR
-    gamma = 2.0
-    K = 3
+    # slow fading holds one SNR per draw, so a cycle fails its first k rounds
+    # with probability f_k(gamma) and the engine's nested test v < f_k must
+    # give drops / cycles -> E[f_K] and rounds / cycles -> 1 + sum_{k<K} E[f_k]
+    K, avg = 3, 10.0 ** 0.3
     one_rate = McsTable(rates=(1.5,), a_tilde=4.0)
-    regions = amc_thresholds_exact(one_rate)
-    n = 400_000
-    from harqlink.channel import make_stream
-    gen = make_stream(11, 0)
-    agg = np.array([(1.0 + gamma) ** k - 1.0 for k in range(1, K + 1)])
-    f = per(1, agg, one_rate)
-    v = gen.random((n, 1))
-    n_fail = (v < f[None, :]).sum(axis=1)
-    for k in range(1, K + 1):
-        emp = float((n_fail >= k).mean())
-        sigma = math.sqrt(f[k - 1] * (1 - f[k - 1]) / n)
-        assert abs(emp - f[k - 1]) <= 3.0 * sigma + 1e-4
+    kinks = sorted({one_rate.thresholds[0] / k for k in range(1, K + 1)}
+                   | {2.0 ** (1.5 / k) - 1.0 for k in range(1, K + 1)})
+    for combining in CombiningType:
+        res = simulate_plain(amc_thresholds_exact(one_rate), _harq(combining, K), one_rate,
+                             _chan(avg, mode=FadingMode.SLOW, seed=11), 10 ** 6)
+
+        def mean(fn, combining=combining):  # E[fn(f_1..f_K)] over the SNR density
+            return quad(lambda g: fn(slow_cascades(g, K, combining, one_rate)[0])
+                        * math.exp(-g / avg) / avg, 0.0, 60.0 * avg, points=kinks,
+                        limit=200, epsabs=1e-13)[0]
+
+        cycles = res.acked_packets + res.drops
+        draws = cycles / _SLOW_CYCLES_PER_DRAW  # each drawn SNR holds for that many cycles
+        for got, stat, spread in ((res.drops / cycles, lambda f: f[K - 1], 1.0),
+                                  (res.blocks / cycles, lambda f: 1.0 + f[:K - 1].sum(), K - 1.0)):
+            want = mean(stat)
+            # 4 sigma: the variance over SNR draws, plus at most spread^2 / 4
+            # per cycle for the outcome's own spread at a fixed SNR
+            sigma = math.sqrt((mean(lambda f: stat(f) ** 2) - want ** 2) / draws
+                              + spread ** 2 / 4.0 / cycles)
+            assert abs(got - want) <= 4.0 * sigma, (combining, got, want, sigma)
 
 
 def test_packet_drop_slow_equals_plain_engine():
