@@ -100,7 +100,8 @@ class DecisionRegions:
 def classify(gamma, regions: DecisionRegions):
     """MCS index of the region containing gamma; half-open boundaries.
 
-    Vectorized over gamma.
+    Vectorized over gamma.  The interval holding gamma is the number of
+    interval starts above 0 that gamma reaches, one compare per start.
     """
     labels, lows, _ = regions.labelled_intervals()
     order = np.argsort(lows)
@@ -108,7 +109,9 @@ def classify(gamma, regions: DecisionRegions):
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise ValueError("SNR must be nonnegative")
-    idx = np.searchsorted(edges, gamma, side="right") - 1
+    idx = np.zeros(gamma.shape, dtype=np.min_scalar_type(edges.size))
+    for edge in edges[1:].tolist():
+        idx += gamma >= edge
     out = labels[idx]
     return out if out.ndim else int(out)
 

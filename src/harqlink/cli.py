@@ -86,18 +86,33 @@ def _combining_for(scheme: str) -> CombiningType | None:
     return None
 
 
+def _slow_regions(spec: SweepSpec) -> dict[CombiningType, DecisionRegions]:
+    """The slow-fading optimized regions of every combining type the
+    schemes use (harq-2r-bound uses harq-ir's).  They do not depend on the
+    average SNR, so a sweep makes them once and hands them to its points;
+    other sweeps get none."""
+    if spec.region_source != "optimized" or spec.fading != "slow":
+        return {}
+    table = McsTable(rates=spec.rates, a_tilde=spec.a_tilde)
+    combinings = {CombiningType.IR if s == "harq-2r-bound" else _combining_for(s)
+                  for s in spec.schemes if s in ("harq-rr", "harq-ir", "harq-2r-bound")}
+    return {c: slow_optimal_regions(spec.K, c, table) for c in combinings}
+
+
 class _SnrPoint:
     """What the schemes of a sweep at one average SNR share: the MCS table,
     the amc-exact, amc-closed-form or per-target regions and, per combining
     type, the fast-fading tables and the optimized regions, each made once
-    (harq-2r-bound reuses harq-ir's regions)."""
+    (harq-2r-bound reuses harq-ir's regions).  Slow-fading optimized
+    regions come from the sweep, as `slow_regions`."""
 
-    def __init__(self, spec: SweepSpec, snr_db: float):
+    def __init__(self, spec: SweepSpec, snr_db: float,
+                 slow_regions: dict[CombiningType, DecisionRegions]):
         self.spec, self.snr_db = spec, snr_db
         self.table = McsTable(rates=spec.rates, a_tilde=spec.a_tilde)
         self.avg = db_to_linear(snr_db)
         self._tables: dict[CombiningType, FastFadingTables] = {}
-        self._optimized: dict[CombiningType, DecisionRegions] = {}
+        self._optimized = dict(slow_regions)
 
     def tables(self, combining: CombiningType) -> FastFadingTables:
         if combining not in self._tables:
@@ -111,10 +126,8 @@ class _SnrPoint:
         if spec.region_source != "optimized" or combining is None:
             return self._fixed_regions
         if combining not in self._optimized:
-            self._optimized[combining] = (
-                slow_optimal_regions(spec.K, combining, table) if spec.fading == "slow"
-                else fast_optimize_regions(spec.K, combining, table, self.avg,
-                                           tables=self.tables(combining)).regions)
+            self._optimized[combining] = fast_optimize_regions(
+                spec.K, combining, table, self.avg, tables=self.tables(combining)).regions
         return self._optimized[combining]
 
     @cached_property
@@ -169,11 +182,11 @@ def _sweep_point(point: _SnrPoint, scheme: str, point_idx: int) -> dict:
     return row
 
 
-def _sweep_snr(spec: SweepSpec, j: int) -> list[dict]:
+def _sweep_snr(spec: SweepSpec, slow_regions: dict, j: int) -> list[dict]:
     """Every scheme's row at the j-th SNR.  A row's point index, its MC
     stream id, is its position in the (sorted scheme, SNR) enumeration."""
     snrs = spec.snr_points_db()
-    point = _SnrPoint(spec, snrs[j])
+    point = _SnrPoint(spec, snrs[j], slow_regions)
     return [_sweep_point(point, scheme, i * len(snrs) + j)
             for i, scheme in enumerate(sorted(spec.schemes))]
 
@@ -190,12 +203,14 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     """All sweep rows as CSV lines (header included), sorted by (scheme, snr).
     One task, in the process pool when there are several, runs each SNR."""
     tasks = range(len(spec.snr_points_db()))
+    slow_regions = _slow_regions(spec)
     workers = int(os.environ.get("HARQLINK_WORKERS", os.cpu_count() or 1))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_snr = list(pool.map(_sweep_snr, [spec] * len(tasks), tasks))
+            per_snr = list(pool.map(_sweep_snr, [spec] * len(tasks),
+                                    [slow_regions] * len(tasks), tasks))
     else:
-        per_snr = [_sweep_snr(spec, j) for j in tasks]
+        per_snr = [_sweep_snr(spec, slow_regions, j) for j in tasks]
     rows = sorted((r for rows in per_snr for r in rows),
                   key=lambda r: (r["scheme"], r["snr_avg_db"]))
     lines = [CSV_HEADER]
@@ -211,8 +226,9 @@ def emit_thresholds(spec: SweepSpec) -> list[str]:
     decision regions."""
     lines = ["snr_avg_db,scheme,l,gamma_l_db,degenerate"]
     schemes = [s for s in sorted(spec.schemes) if s not in ("harq-2r-bound", "vl-harq")]
+    slow_regions = _slow_regions(spec)
     for snr_db in spec.snr_points_db():
-        point = _SnrPoint(spec, snr_db)
+        point = _SnrPoint(spec, snr_db, slow_regions)
         table = point.table
         for scheme in schemes:
             regions = point.regions(_combining_for(scheme))

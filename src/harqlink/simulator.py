@@ -21,7 +21,7 @@ import numpy as np
 from .amc import DecisionRegions, classify
 from .channel import ChannelConfig, FadingMode, draw_exponential, make_stream
 from .coding import (CombiningType, McsTable, mutual_information,
-                     mutual_information_inv, per, per_at)
+                     mutual_information_inv, per_at)
 from .harq_analysis import HarqConfig, HarqVariant, slow_cascades
 
 _N_BATCHES = 50
@@ -133,8 +133,10 @@ def _simulate_cycles(regions: DecisionRegions, harq: HarqConfig, table: McsTable
     uniform whatever the protocol state, so the cycle that would start
     fresh at block i has an outcome fixed by blocks i .. i+K-1.  That
     outcome is computed for every i in vectorized passes over chunks of
-    blocks, and a walk follows the next-start pointers from block 0, one
-    step per multi-block cycle.  Rewards are added in block order, as a
+    blocks, whose uniforms are read from arrays drawn as the chunks reach
+    them; the first round, where every start is live, runs on whole-chunk
+    masks.  A walk follows the next-start pointers from block 0, one step
+    per multi-block cycle.  Rewards are added in block order, as a
     block-by-block loop adds them, and a failed K-th round (the first, for
     K = 1) is a drop.  The passes run on the array paths of `per_at` and
     `mutual_information_inv`, which can differ from the scalar paths in the
@@ -176,26 +178,27 @@ def _simulate_cycles(regions: DecisionRegions, harq: HarqConfig, table: McsTable
         p = per_at(g, th, table.a_tilde)
         h = g if rr else mutual_information(g)
         # per start: the block of the ACK or drop (-1 while unfinished past
-        # the last block), whether it is an ACK, and the next fresh start
-        end = np.full(n, -1)
-        ack = np.zeros(n, dtype=bool)
-        nxt = np.full(n, blocks - c0)
-        live, hsum, prev = i, h[:n], p[:n]
-        for k in range(K):
-            if k:
-                on = live + k < g.size  # the others stay unfinished
-                live, hsum, prev = live[on], hsum[on], prev[on]
-                j = live + k
-                if drop_on_rise:
-                    rise = l_hat[j] > l_hat[live]  # a drop, and a fresh start in this block
-                    end[live[rise]] = nxt[live[rise]] = j[rise]
-                    live, hsum, prev, j = live[~rise], hsum[~rise], prev[~rise], j[~rise]
-                hsum = hsum + h[j]
-                p_k = per_at(hsum if rr else mutual_information_inv(hsum), th[live], table.a_tilde)
-                cond = np.divide(p_k, prev, out=np.zeros_like(p_k), where=prev > 0.0)
-            else:
-                j = live
-                p_k = cond = prev
+        # the last block), whether it is an ACK, and the next fresh start.
+        # Every start is live in the first round, so it runs on whole-chunk
+        # masks; later rounds gather the starts still live.
+        fail = u[:n] < p[:n]
+        stop = ~fail if K > 1 else np.ones(n, dtype=bool)
+        end = np.where(stop, i, -1)
+        ack = ~fail
+        nxt = np.where(stop, i + 1, blocks - c0)
+        live = np.flatnonzero(fail)
+        hsum, prev = h[live], p[live]
+        for k in range(1, K):
+            on = live + k < g.size  # the others stay unfinished
+            live, hsum, prev = live[on], hsum[on], prev[on]
+            j = live + k
+            if drop_on_rise:
+                rise = l_hat[j] > l_hat[live]  # a drop, and a fresh start in this block
+                end[live[rise]] = nxt[live[rise]] = j[rise]
+                live, hsum, prev, j = live[~rise], hsum[~rise], prev[~rise], j[~rise]
+            hsum = hsum + h[j]
+            p_k = per_at(hsum if rr else mutual_information_inv(hsum), th[live], table.a_tilde)
+            cond = np.divide(p_k, prev, out=np.zeros_like(p_k), where=prev > 0.0)
             fail = u[j] < cond
             stop = ~fail if k < K - 1 else np.ones_like(fail)
             end[live[stop]] = j[stop]
@@ -281,11 +284,23 @@ class _VlContext:
         order = sorted(range(len(counts_m)), key=lambda j: (npkts_m[j], self.fresh_lengths[j]))
         self.fresh_rank = np.empty(len(order), dtype=np.intp)
         self.fresh_rank[order] = np.arange(len(order))
-        self.primary_thresholds = np.array([table.thresholds[self.len_to_l[length] - 1]
-                                            for length in self.primary])
+        self.primary_th = [table.thresholds[self.len_to_l[length] - 1] for length in self.primary]
+        self.primary_thresholds = np.array(self.primary_th)
         self.full_mask = npkts_m <= self.buffer_cap  # every multiset fits the budget
+        # the capacity left moves the best fresh multiset only at the
+        # distinct multiset costs, its levels; per count of free buffer
+        # slots, the multisets of each level that fit them
         self.cost_levels = sorted(set(costs_m.tolist()))
-        self.level_masks = costs_m <= np.array(self.cost_levels)[:, None]
+        level_masks = costs_m <= np.array(self.cost_levels)[:, None]
+        self.slot_masks = [level_masks & (npkts_m <= slots) for slots in range(self.buffer_cap + 1)]
+        self.retx_options = [(length, self.units[length]) for length in self.retx_lengths]
+        self.retx_index = {length: k for k, length in enumerate(self.retx_lengths)}
+        # the per_rows column of each primary length and, per multiset, of
+        # each of its packets in the order of fresh_lengths, padded with 0
+        self.primary_col = {length: c for c, length in enumerate(self.primary)}
+        self.fresh_cols = np.zeros((len(counts_m), max(npkts_m.max(), 1)), dtype=np.intp)
+        for j, lengths in enumerate(self.fresh_lengths):
+            self.fresh_cols[j, :len(lengths)] = [self.primary_col[length] for length in lengths]
 
     def best_fresh(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Index of the best fresh multiset along the last axis of values
@@ -318,123 +333,162 @@ def _vl_aggregate(snr_sigma: float, length: float, first_len: float, gamma: floa
         mutual_information(snr_sigma) + (length / first_len) * mutual_information(gamma))
 
 
-def _vl_failure_probs(pkt: PacketState, lengths, gamma: float, table: McsTable,
-                      l: int) -> list[float]:
-    """Conditional failure probabilities f(h) of a retransmission of pkt
-    with each of `lengths`."""
-    p_now = per(l, pkt.snr_sigma, table)
-    if p_now <= 0.0:
-        return [0.0] * len(lengths)
-    return [per(l, _vl_aggregate(pkt.snr_sigma, length, pkt.first_len, gamma), table) / p_now
-            for length in lengths]
+def _vl_retx(buffer: list[PacketState], gamma: float, ctx: _VlContext) -> list:
+    """Per buffer entry, None for a fresh packet; for a pending one, the
+    aggregate SNR after a retransmission with each of ctx.retx_lengths at
+    SNR gamma (as `_vl_aggregate` folds it) and the conditional failure
+    probability f = PER(aggregate) / PER(now) of each, all 0 when the packet
+    cannot fail.  MI(gamma) is taken once, MI(sigma) once per packet."""
+    a_tilde, mi_gamma = ctx.table.a_tilde, mutual_information(gamma)
+
+    def options(pkt: PacketState) -> tuple[list[float], list[float]]:
+        th = ctx.table.thresholds[ctx.len_to_l[pkt.first_len] - 1]
+        mi_sigma = mutual_information(pkt.snr_sigma)
+        aggs = [mutual_information_inv(mi_sigma + (length / pkt.first_len) * mi_gamma)
+                for length in ctx.retx_lengths]
+        p_now = per_at(pkt.snr_sigma, th, a_tilde)
+        if p_now <= 0.0:
+            return aggs, [0.0] * len(aggs)
+        return aggs, [per_at(x, th, a_tilde) / p_now for x in aggs]
+
+    return [None if pkt.harq_count == 0 else options(pkt) for pkt in buffer]
 
 
 def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
-                table: McsTable, ctx: _VlContext | None = None) -> list[float]:
+                table: McsTable, ctx: _VlContext | None = None,
+                retx: list | None = None) -> list[float]:
     """Length assignment maximizing the expected number of decoded packets
     this block, subject to the unit block budget.
 
     Exhaustive over retransmission candidates (branch and bound keeps it
     exact); interchangeable fresh packets are covered by enumerating all
     feasible fresh multisets.  Ties prefer fewer scheduled packets, then
-    the lexicographically smallest assignment vector.
+    the lexicographically smallest assignment vector.  `retx` is
+    `_vl_retx(buffer, gamma, ctx)`, when the caller has it already.
     """
     if ctx is None:
         ctx = _vl_context(harq, table)
     if len(buffer) > ctx.buffer_cap:
         raise ValueError("buffer exceeds its capacity")
-    nonfresh_idx = [i for i, p in enumerate(buffer) if p.harq_count > 0]
-    fresh_idx = [i for i, p in enumerate(buffer) if p.harq_count == 0]
+    if retx is None:
+        retx = _vl_retx(buffer, gamma, ctx)
+    pending = [i for i, r in enumerate(retx) if r is not None]
+    fresh_idx = [i for i, r in enumerate(retx) if r is None]
 
-    succ = np.array([1.0 - per(ctx.len_to_l[length], gamma, table) for length in ctx.primary])
+    a_tilde = ctx.table.a_tilde
+    succ = np.array([1.0 - per_at(gamma, th, a_tilde) for th in ctx.primary_th])
     counts_m, _, npkts_m = ctx.fresh_sets
     fresh_values = counts_m @ succ
-
-    # per-candidate (length, units, value) options, 0-length excluded
-    options = []
-    for i in nonfresh_idx:
-        pkt = buffer[i]
-        fails = _vl_failure_probs(pkt, ctx.retx_lengths, gamma, table, ctx.len_to_l[pkt.first_len])
-        options.append([(length, ctx.units[length], 1.0 - f)
-                        for length, f in zip(ctx.retx_lengths, fails)])
-    opt_best = [max((v for _, _, v in opts), default=0.0) for opts in options]
-    suffix_best = [0.0] * (len(options) + 1)
-    for i in range(len(options) - 1, -1, -1):
-        suffix_best[i] = suffix_best[i + 1] + opt_best[i]
-
-    n_slots = len(fresh_idx)
     # the best fresh multiset is a step function of the capacity left: it
     # changes only at the distinct multiset costs, so solve each level once
-    best = ctx.best_fresh(fresh_values, ctx.level_masks & (npkts_m <= n_slots))
+    best = ctx.best_fresh(fresh_values, ctx.slot_masks[len(fresh_idx)])
     level_best, level_value = best.tolist(), fresh_values[best].tolist()
+    level_count = npkts_m[best].tolist()
     levels = ctx.cost_levels
 
-    def level_of(cap_units: int) -> int:
-        return bisect_right(levels, cap_units) - 1
+    # per pending packet, the value 1 - f of each retransmission length
+    values = [[1.0 - f for f in retx[i][1]] for i in pending]
+    n = len(values)
+    suffix_best = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_best[i] = suffix_best[i + 1] + max(values[i])
+    options = ctx.retx_options
 
-    best_key = None
-    best_assign = None
-
-    def consider(nf_lengths: list[float], cap_units: int, value: float):
-        nonlocal best_key, best_assign
-        level = level_of(cap_units)
-        total = value + level_value[level]
-        if best_key is not None and -total > best_key[0]:
-            return  # a lower total loses whatever the tie-breaks
-        fresh_lens = ctx.fresh_lengths[level_best[level]]
+    def assignment(nf_lengths, level: int) -> list[float]:
         assign = [0.0] * len(buffer)
-        for idx, length in zip(nonfresh_idx, nf_lengths):
+        for idx, length in zip(pending, nf_lengths):
             assign[idx] = length
-        pad = [0.0] * (n_slots - len(fresh_lens)) + list(fresh_lens)
-        for idx, length in zip(fresh_idx, pad):
+        fresh_lens = ctx.fresh_lengths[level_best[level]]
+        for idx, length in zip(fresh_idx[len(fresh_idx) - len(fresh_lens):], fresh_lens):
             assign[idx] = length
-        scheduled = sum(1 for a in assign if a > 0)
-        key = (-total, scheduled, tuple(assign))
-        if best_key is None or key < best_key:
-            best_key, best_assign = key, assign
+        return assign
 
-    def dfs(i: int, nf_lengths: list[float], cap_units: int, value: float):
-        if best_key is not None:
-            bound = value + suffix_best[i] + level_value[level_of(cap_units)]
-            if bound < -best_key[0] - 1e-12:
+    # the best leaf so far: (-total, scheduled, pending packets' lengths,
+    # fresh level).  An exact tie of the first two goes to the smaller
+    # assignment vector; when both leaves take the same fresh multiset the
+    # vectors differ only at the pending packets, in buffer order, so only
+    # other ties build them
+    top = None
+
+    def leaf(nf_lengths, level: int, total: float, scheduled: int):
+        """Keep a leaf whose total does not lose if it beats the best."""
+        nonlocal top
+        if top is not None:
+            key = (-total, scheduled)
+            if key > top[:2]:
                 return
-        if i == len(options):
-            consider(nf_lengths, cap_units, value)
-            return
-        dfs(i + 1, nf_lengths + [0.0], cap_units, value)  # unscheduled
-        for length, units, val in options[i]:
-            if units <= cap_units:
-                dfs(i + 1, nf_lengths + [length], cap_units - units, value + val)
+            if key == top[:2]:
+                if level_best[level] == level_best[top[3]]:
+                    if nf_lengths >= top[2]:
+                        return
+                elif assignment(nf_lengths, level) >= assignment(top[2], top[3]):
+                    return
+        top = (-total, scheduled, nf_lengths, level)
 
-    dfs(0, [], ctx.unit, 0.0)
+    def dfs(i: int, nf_lengths: list[float], cap_units: int, value: float, scheduled: int):
+        if top is not None:
+            bound = value + suffix_best[i] + level_value[bisect_right(levels, cap_units) - 1]
+            if bound < -top[0] - 1e-12:
+                return
+        if i < n - 1:
+            dfs(i + 1, nf_lengths + [0.0], cap_units, value, scheduled)  # unscheduled
+            for (length, units), val in zip(options, values[i]):
+                if units <= cap_units:
+                    dfs(i + 1, nf_lengths + [length], cap_units - units, value + val,
+                        scheduled + 1)
+            return
+        # the last pending packet, in one flat loop: a leaf's bound is its
+        # total, so a leaf goes on only if its total does not lose
+        level = bisect_right(levels, cap_units) - 1
+        total = value + level_value[level]
+        if top is None or total >= -top[0]:
+            leaf(nf_lengths + [0.0], level, total, scheduled + level_count[level])
+        for (length, units), val in zip(options, values[i]):
+            if units <= cap_units:
+                level = bisect_right(levels, cap_units - units) - 1
+                total = value + val + level_value[level]
+                if top is None or total >= -top[0]:
+                    leaf(nf_lengths + [length], level, total, scheduled + 1 + level_count[level])
+
+    if n:
+        dfs(0, [], ctx.unit, 0.0, 0)
+    else:
+        level = bisect_right(levels, ctx.unit) - 1
+        leaf([], level, level_value[level], level_count[level])
+    best_assign = assignment(top[2], top[3])
     assert sum(best_assign) <= 1.0 + 1e-9
     return best_assign
 
 
 def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
-              outcomes: list[bool], harq: HarqConfig) -> tuple[list[PacketState], int, int]:
+              outcomes: list[bool], harq: HarqConfig,
+              folded: list[float | None] | None = None) -> tuple[list[PacketState], int, int]:
     """Apply per-packet ACK/NACK outcomes; returns (new buffer, acked, drops).
 
     ACK removes the packet; NACK folds the round into the aggregate SNR
     and increments the round counter, discarding the packet once the round
     budget is spent.  The buffer is topped up with fresh packets, to
-    max_rounds packets per primary length.
+    max_rounds packets per primary length.  `folded` holds, per entry, the
+    aggregate SNR after this round where the caller has it already (None
+    elsewhere).
     """
     if not (len(assignment) == len(outcomes) == len(buffer)):
         raise ValueError("assignment/outcomes must align with the buffer")
     acked = 0
     drops = 0
     new_buffer: list[PacketState] = []
-    for pkt, length, ack in zip(buffer, assignment, outcomes):
+    for pkt, length, ack, snr_prime in zip(buffer, assignment, outcomes,
+                                           folded or [None] * len(buffer)):
         if length == 0.0:
             new_buffer.append(pkt)
             continue
         if ack:
             acked += 1
             continue
-        first_len = pkt.first_len if pkt.harq_count > 0 else length
-        snr_prime = _vl_aggregate(pkt.snr_sigma, length, first_len, gamma)
         if pkt.harq_count < harq.max_rounds - 1:
+            first_len = pkt.first_len if pkt.harq_count > 0 else length
+            if snr_prime is None:
+                snr_prime = _vl_aggregate(pkt.snr_sigma, length, first_len, gamma)
             new_buffer.append(PacketState(harq_count=pkt.harq_count + 1,
                                           first_len=first_len,
                                           snr_sigma=snr_prime))
@@ -443,13 +497,6 @@ def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
     cap = harq.max_rounds * len(harq.lengths_primary)
     new_buffer += [PacketState() for _ in range(cap - len(new_buffer))]
     return new_buffer, acked, drops
-
-
-def _uniforms(gen: np.random.Generator):
-    """The stream's uniforms one at a time, drawn in chunks: gen.random(n)
-    gives the same values as n calls of gen.random()."""
-    while True:
-        yield from gen.random(_VL_CHUNK).tolist()
 
 
 _VL_CHUNK = 1024
@@ -461,15 +508,21 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     ACKed packet per block.
 
     RNG contract: all block SNRs are drawn first, then one uniform per
-    scheduled packet, in buffer order, from the same stream (drawn in
-    chunks, which yields the same values as one draw per packet).  A block
-    whose buffer holds only fresh packets skips `vl_schedule`: with no
-    retransmission candidates the schedule is the best fresh multiset under
-    the full budget, which is precomputed for blocks in chunks.  That
-    precomputation runs on `per_at`'s array path, which can differ from
-    `vl_schedule`'s scalar `per` in the last bit, so the two choices agree
-    unless two fresh multisets' values fall within an ulp of the 1e-12
-    tie margin of each other.
+    scheduled packet, in buffer order, from the same stream.  Uniforms are
+    drawn into an array as needed and read from it, which yields the same
+    values as one draw per packet.  A block whose buffer holds only fresh
+    packets skips `vl_schedule`: with no retransmission candidates the
+    schedule is the best fresh multiset under the full budget, which is
+    precomputed for blocks in chunks.  A run of such blocks reads its
+    uniforms at offsets that are a cumsum of the multisets' packet counts,
+    so one compare of the run's uniforms against its packets' PERs finds
+    the first NACK.  The blocks before it ACK every packet and are
+    committed at once; the NACK block goes through `vl_update`, and each
+    block after it that holds pending packets through `vl_schedule` and
+    `vl_update`.  The precomputation runs on `per_at`'s array path, which
+    can differ from `vl_schedule`'s scalar path in the last bit, so the two
+    choices agree unless two fresh multisets' values fall within an ulp of
+    the 1e-12 tie margin of each other.
     """
     if channel.fading_mode is not FadingMode.FAST:
         raise ValueError("variable-length HARQ is simulated for fast fading only")
@@ -478,58 +531,91 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     ctx = _vl_context(harq, table)
     gen = make_stream(channel.seed, stream_id)
     gammas = draw_exponential(gen, channel.avg_snr, blocks)
-    uniforms = _uniforms(gen)
+    u, upos = np.empty(0), 0  # the uniforms drawn so far, and the next unread one
+
+    def ahead(m: int) -> np.ndarray:
+        """The next m unread uniforms, drawn as needed; reading them does
+        not consume them."""
+        nonlocal u, upos
+        if u.size - upos < m:
+            u, upos = np.concatenate((u[upos:], gen.random(m + _VL_CHUNK))), 0
+        return u[upos:upos + m]
+
     r1 = table.rates[0]
-    col = {length: c for c, length in enumerate(ctx.primary)}
+    npkts_m = ctx.fresh_sets[2]
     fresh_buffer = [PacketState() for _ in range(ctx.buffer_cap)]
     # per fresh multiset: its full-buffer assignment, as vl_schedule pads it
     fresh_assign = [[0.0] * (ctx.buffer_cap - len(lengths)) + list(lengths)
                     for lengths in ctx.fresh_lengths]
 
     buffer = None  # None: every packet in the buffer is fresh
-    acked_total = 0
     drops = 0
-    batch_acked = [0] * _N_BATCHES
+    batch_acked = np.zeros(_N_BATCHES, dtype=np.int64)
     batch_size = blocks // _N_BATCHES
 
     for start in range(0, blocks, _VL_CHUNK):
         g_chunk = gammas[start:start + _VL_CHUNK]
+        n = g_chunk.size
         per_rows, choice = ctx.fresh_chunk(g_chunk)
-        for i, g, fresh_per, j in zip(range(start, blocks), g_chunk.tolist(),
-                                      per_rows.tolist(), choice.tolist()):
-            dropped = 0
+        # the packets of every block's fresh multiset, flat in block order:
+        # block b's are first[b] .. first[b + 1] - 1
+        counts = npkts_m[choice]
+        first = np.concatenate(([0], np.cumsum(counts)))
+        owner = np.repeat(np.arange(n), counts)
+        fresh_pers = per_rows[owner, ctx.fresh_cols[choice[owner], np.arange(first[-1]) - first[owner]]]
+        g_list, first, choice = g_chunk.tolist(), first.tolist(), choice.tolist()
+        acked = np.zeros(n, dtype=np.int64)  # per block of the chunk
+        b = 0
+        while b < n:
             if buffer is None:
-                # only fresh packets: the precomputed choice is vl_schedule's
-                oks = [next(uniforms) >= fresh_per[col[length]] for length in ctx.fresh_lengths[j]]
-                if all(oks):
-                    acked = len(oks)  # nothing to retransmit: still all fresh
-                else:
-                    outcomes = [False] * (ctx.buffer_cap - len(oks)) + oks
-                    buffer, acked, dropped = vl_update(fresh_buffer, fresh_assign[j], g,
-                                                       outcomes, harq)
+                # all fresh from block b: the run's packets read the next
+                # uniforms in order, and the first NACK ends the run
+                lo = first[b]
+                run = first[n] - lo
+                nack = ahead(run) < fresh_pers[lo:]
+                k = int(nack.argmax()) if run else 0
+                stop = int(owner[lo + k]) if run and nack[k] else n
+                acked[b:stop] = counts[b:stop]
+                if stop == n:
+                    upos += run
+                    break
+                # the NACK block, whose schedule is the precomputed choice
+                b = stop
+                oks = (~nack[first[b] - lo:first[b + 1] - lo]).tolist()
+                upos += first[b + 1] - lo
+                outcomes = [False] * (ctx.buffer_cap - len(oks)) + oks
+                buffer, n_acked, dropped = vl_update(fresh_buffer, fresh_assign[choice[b]],
+                                                     g_list[b], outcomes, harq)
             else:
-                assign = vl_schedule(buffer, g, harq, table, ctx)
-                outcomes = []
-                for pkt, length in zip(buffer, assign):
-                    if length == 0.0:
-                        outcomes.append(False)
-                        continue
-                    if pkt.harq_count == 0:
-                        f = fresh_per[col[length]]
-                    else:
-                        l = ctx.len_to_l[pkt.first_len]
-                        f = _vl_failure_probs(pkt, (length,), g, table, l)[0]
-                    outcomes.append(next(uniforms) >= f)
-                buffer, acked, dropped = vl_update(buffer, assign, g, outcomes, harq)
+                g = g_list[b]
+                retx = _vl_retx(buffer, g, ctx)
+                assign = vl_schedule(buffer, g, harq, table, ctx, retx)
+                scheduled = [i for i, length in enumerate(assign) if length != 0.0]
+                fresh_per = per_rows[b].tolist()
+                outcomes, folded = [False] * len(assign), [None] * len(assign)
+                for i, v in zip(scheduled, ahead(len(scheduled)).tolist()):
+                    length, r = assign[i], retx[i]
+                    if r is None:
+                        f = fresh_per[ctx.primary_col[length]]
+                    else:  # the scheduler's failure probability and fold
+                        k = ctx.retx_index[length]
+                        f, folded[i] = r[1][k], r[0][k]
+                    outcomes[i] = v >= f
+                upos += len(scheduled)
+                buffer, n_acked, dropped = vl_update(buffer, assign, g, outcomes, harq, folded)
             drops += dropped
-            if buffer is not None and all(pkt.harq_count == 0 for pkt in buffer):
+            if not any([pkt.harq_count for pkt in buffer]):
                 buffer = None
-            acked_total += acked
-            batch_acked[min(i // batch_size, _N_BATCHES - 1)] += acked
+            acked[b] = n_acked
+            b += 1
+        # the last batch takes the remainder of the blocks
+        np.add.at(batch_acked, np.minimum((start + np.arange(n)) // batch_size, _N_BATCHES - 1),
+                  acked)
 
+    acked_total = int(batch_acked.sum())
     return SimResult(
         throughput=r1 * acked_total / blocks,
-        ci_half_width=_ci(r1 * np.array(batch_acked, dtype=float) / batch_size),
+        ci_half_width=_ci(r1 * batch_acked.astype(float) / batch_size),
         blocks=blocks,
         acked_packets=acked_total,
         drops=drops,

@@ -6,7 +6,8 @@ import pytest
 from harqlink.amc import (DecisionRegions, RegionKind, amc_throughput,
                           amc_thresholds_closed_form, amc_thresholds_exact,
                           amc_thresholds_per_target, classify)
-from harqlink.coding import McsTable, per, per_at
+from harqlink.coding import CombiningType, McsTable, per, per_at
+from harqlink.optimizer import slow_optimal_regions
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
 STEP_TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=math.inf)
@@ -153,6 +154,29 @@ def test_classify_interval_union():
     regions = DecisionRegions(RegionKind.INTERVALS,
                               intervals=(((0.0, 1.0), (2.0, math.inf)), ((1.0, 2.0),)))
     np.testing.assert_array_equal(classify([0.5, 1.5, 3.0], regions), [1, 2, 1])
+
+
+@pytest.mark.parametrize("regions", [
+    amc_thresholds_exact(TABLE),
+    amc_thresholds_exact(STEP_TABLE),
+    DecisionRegions(RegionKind.THRESHOLDS, thresholds=(0.0, 0.0, 0.0, 0.0, 0.92)),
+    DecisionRegions(RegionKind.THRESHOLDS, thresholds=(0.0, 1.0, 1.0, 4.0)),
+    DecisionRegions(RegionKind.THRESHOLDS, thresholds=(0.0, 0.0, 0.0)),
+    # acceptance_12's table, whose slow IR-optimal regions are interval unions
+    slow_optimal_regions(4, CombiningType.IR, McsTable(rates=(3.0, 3.75), a_tilde=4.0)),
+], ids=["exact", "step", "degenerate", "empty-middle", "all-top", "interval-union"])
+def test_classify_equals_sorted_edge_search(regions):
+    labels, lows, _ = regions.labelled_intervals()
+    order = np.argsort(lows)
+    edges, labels = np.array(lows)[order], np.array(labels)[order]
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    g = np.concatenate([np.random.default_rng(3).exponential(10.0, 10 ** 4),
+                        np.geomspace(1e-12, 1e6, 500), near[near >= 0.0], [0.0, np.inf]])
+    want = labels[np.searchsorted(edges, g, side="right") - 1]
+    np.testing.assert_array_equal(classify(g, regions), want)
+    for x, w in zip(g[-3 * edges.size - 2:].tolist(), want[-3 * edges.size - 2:].tolist()):
+        got = classify(x, regions)
+        assert type(got) is int and got == w
 
 
 def test_amc_throughput_reference_values():

@@ -93,6 +93,35 @@ def test_sweep_builds_one_table_and_one_optimization_per_snr_and_combining(monke
     assert tables == optimized == Counter(dict.fromkeys(keys, 1))
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_slow_sweep_optimizes_regions_once_per_combining(monkeypatch, workers):
+    # slow-fading optimal regions do not depend on the average SNR, so the
+    # sweep and the thresholds dump make them once per combining type and
+    # every point gets the same regions
+    monkeypatch.setenv("HARQLINK_WORKERS", workers)
+    spec = _spec(schemes=("harq-ir", "harq-rr", "harq-2r-bound", "amc"),
+                 region_source="optimized", fading="slow", snr_db_step=2.5)
+    made = Counter()
+    optimize = cli.slow_optimal_regions
+
+    def counted(K, combining, table):
+        made[combining] += 1
+        return optimize(K, combining, table)
+
+    monkeypatch.setattr(cli, "slow_optimal_regions", counted)
+    lines, dump = run_sweep(spec), emit_thresholds(spec)
+    assert made == Counter(dict.fromkeys(CombiningType, 2))
+    monkeypatch.setattr(cli, "slow_optimal_regions", optimize)
+    table = McsTable(rates=DEFAULT_RATES, a_tilde=4.0)
+    ir = optimize(4, CombiningType.IR, table)
+    cols = CSV_HEADER.split(",")
+    for row in (dict(zip(cols, r.split(","))) for r in lines[1:]):
+        if row["scheme"] == "harq-2r-bound":
+            want = two_round_bound(ir, table, db_to_linear(float(row["snr_avg_db"])))
+            assert row["throughput"] == f"{want:.12g}"
+    assert len(lines) == 1 + 4 * 5 and len(dump) == 1 + 3 * 5 * 5
+
+
 def test_pd_harq_rows_keep_their_streams_across_worker_counts(monkeypatch):
     # each row's MC stream id is its index in the (sorted scheme, SNR)
     # enumeration, whichever worker runs its SNR

@@ -261,16 +261,22 @@ def test_slow_throughput_matches_adaptive_quadrature(combining):
 
 
 def test_slow_throughput_evaluates_all_nodes_in_one_call(monkeypatch):
-    calls = []
+    # one cascade pass over every (piece, node), each at its own piece's
+    # rate only: no all-rate slow_throughput_at scan
+    regions = slow_optimal_regions(4, CombiningType.IR, TABLE)
+    calls, scans = [], []
+    cascade = harq_analysis._cascade
 
-    def counted(*args):
-        calls.append(args)
-        return slow_throughput_at(*args)
+    def counted(gamma, K, combining, th, a_tilde):
+        calls.append((np.shape(gamma), np.shape(th)))
+        return cascade(gamma, K, combining, th, a_tilde)
 
-    monkeypatch.setattr(harq_analysis, "slow_throughput_at", counted)
-    slow_throughput(slow_optimal_regions(4, CombiningType.IR, TABLE), 4, CombiningType.IR,
-                    TABLE, 2.0)
-    assert len(calls) == 1
+    monkeypatch.setattr(harq_analysis, "_cascade", counted)
+    monkeypatch.setattr(harq_analysis, "slow_throughput_at", lambda *a: scans.append(a))
+    slow_throughput(regions, 4, CombiningType.IR, TABLE, 2.0)
+    assert len(calls) == 1 and not scans
+    (pieces, nodes), th_shape = calls[0]
+    assert pieces >= len(regions.labelled_intervals()[0]) and th_shape == (pieces, 1, 1)
 
 
 def test_region_integrals_match_closed_form_near_27_25_db():

@@ -156,6 +156,34 @@ def test_packet_drop_one_round_results_are_pinned(combining, snr_db, a_tilde, se
     assert _packet_drop_pin_run(combining, 1, snr_db, a_tilde, seed) == want
 
 
+@pytest.mark.parametrize("combining, K, snr_db, seed, want", [
+    (_RR, 1, -5.0, 20, SimResult(0.05639041362968295, 0.001915401460556518, 100017, 7453, 92564)),
+    (_RR, 1, 0.0, 21, SimResult(0.38775158223102074, 0.004480060543618777, 100017, 41234, 58783)),
+    (_RR, 1, 10.0, 22, SimResult(2.039150844356459, 0.012107562366309818, 100017, 85922, 14095)),
+    (_RR, 2, -5.0, 23, SimResult(0.10242508773508503, 0.0022829779659158216, 100017, 13622, 38322)),
+    (_RR, 2, 0.0, 24, SimResult(0.4258526050571403, 0.004345471781061292, 100017, 49236, 13638)),
+    (_RR, 2, 10.0, 25, SimResult(1.9480488316986113, 0.014463229961470132, 100017, 86791, 912)),
+    (_RR, 4, -5.0, 26, SimResult(0.17081346171150905, 0.0028909082721101866, 100017, 22744, 8964)),
+    (_RR, 4, 0.0, 27, SimResult(0.44685653438915385, 0.00406396698787914, 100017, 52999, 742)),
+    (_RR, 4, 10.0, 28, SimResult(1.9495335792915205, 0.013078065528172879, 100017, 86916, 17)),
+    (_IR, 1, -5.0, 29, SimResult(0.05621044422448184, 0.001861190780776914, 100017, 7422, 92595)),
+    (_IR, 1, 0.0, 30, SimResult(0.38741413959626864, 0.004699571517593876, 100017, 41285, 58732)),
+    (_IR, 1, 10.0, 31, SimResult(2.048464261075617, 0.0126335434065468, 100017, 85987, 14030)),
+    (_IR, 2, -5.0, 32, SimResult(0.12454632712438886, 0.0025949639463108266, 100017, 16558, 35354)),
+    (_IR, 2, 0.0, 33, SimResult(0.44446444104502236, 0.004333586733825899, 100017, 51631, 11278)),
+    (_IR, 2, 10.0, 34, SimResult(1.9657833168361378, 0.015040985117033265, 100017, 87373, 325)),
+    (_IR, 4, -5.0, 35, SimResult(0.20408530549806533, 0.0018081435682116903, 100017, 27180, 6166)),
+    (_IR, 4, 0.0, 36, SimResult(0.4650184468640331, 0.0034469089413560086, 100017, 55064, 353)),
+    (_IR, 4, 10.0, 37, SimResult(1.9578796604577222, 0.013697920970098391, 100017, 87429, 0)),
+])
+def test_plain_fast_results_are_pinned(combining, K, snr_db, seed, want):
+    # exact values of the cycle kernel as it stood when plain moved onto it;
+    # at -5 dB most cycles span several blocks
+    chan = _chan(10.0 ** (snr_db / 10.0), seed=seed)
+    assert simulate_plain(REGIONS, _harq(combining=combining, K=K), TABLE, chan,
+                          10 ** 5 + 17, 3) == want
+
+
 def _packet_drop_pin_run(combining, K, snr_db, a_tilde, seed):
     table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
     harq = _harq(combining=combining, K=K, variant=HarqVariant.PACKET_DROP)
@@ -320,7 +348,6 @@ def test_vl_schedule_without_ctx_builds_one_context(monkeypatch):
 
 
 def _expected_acks(buffer, assign, gamma, ctx):
-    from harqlink.simulator import _vl_failure_probs
     total = 0.0
     for pkt, length in zip(buffer, assign):
         if length == 0.0:
@@ -329,7 +356,7 @@ def _expected_acks(buffer, assign, gamma, ctx):
             total += 1.0 - per(ctx.len_to_l[length], gamma, VL_TABLE)
         else:
             l = ctx.len_to_l[pkt.first_len]
-            total += 1.0 - _vl_failure_probs(pkt, (length,), gamma, VL_TABLE, l)[0]
+            total += 1.0 - _oracle_failure_probs(pkt, (length,), gamma, VL_TABLE, l)[0]
     return total
 
 
@@ -452,3 +479,128 @@ def test_best_fresh_tie_rule():
     # one packet at equal success: the shorter length wins
     values = counts_m @ np.array([1.0, 0.5, 0.5])
     assert ctx.fresh_lengths[ctx.best_fresh(values, half & (npkts_m <= 1))] == (0.25,)
+
+
+# ---------------------------------------------------------------------------
+# scheduler oracle: the plain depth-first search that vl_schedule replaced,
+# kept as the reference its assignments must equal
+# ---------------------------------------------------------------------------
+
+
+def _oracle_failure_probs(pkt, lengths, gamma, table, l):
+    """Conditional failure probabilities f(h) of a retransmission of pkt
+    with each of `lengths`, from the scalar per and the MI-domain fold."""
+    from harqlink.coding import mutual_information_inv
+    p_now = per(l, pkt.snr_sigma, table)
+    if p_now <= 0.0:
+        return [0.0] * len(lengths)
+    return [per(l, mutual_information_inv(mutual_information(pkt.snr_sigma) + (length / pkt.first_len)
+                                          * mutual_information(gamma)), table) / p_now
+            for length in lengths]
+
+
+def _oracle_vl_schedule(buffer, gamma, table, ctx):
+    """Branch and bound over every pending packet's options, building and
+    comparing the full (-total, scheduled, assignment) key of every leaf."""
+    from bisect import bisect_right
+    nonfresh_idx = [i for i, p in enumerate(buffer) if p.harq_count > 0]
+    fresh_idx = [i for i, p in enumerate(buffer) if p.harq_count == 0]
+
+    succ = np.array([1.0 - per(ctx.len_to_l[length], gamma, table) for length in ctx.primary])
+    counts_m, costs_m, npkts_m = ctx.fresh_sets
+    fresh_values = counts_m @ succ
+
+    options = []
+    for i in nonfresh_idx:
+        pkt = buffer[i]
+        fails = _oracle_failure_probs(pkt, ctx.retx_lengths, gamma, table,
+                                      ctx.len_to_l[pkt.first_len])
+        options.append([(length, ctx.units[length], 1.0 - f)
+                        for length, f in zip(ctx.retx_lengths, fails)])
+    opt_best = [max((v for _, _, v in opts), default=0.0) for opts in options]
+    suffix_best = [0.0] * (len(options) + 1)
+    for i in range(len(options) - 1, -1, -1):
+        suffix_best[i] = suffix_best[i + 1] + opt_best[i]
+
+    n_slots = len(fresh_idx)
+    levels = sorted(set(costs_m.tolist()))
+    level_masks = costs_m <= np.array(levels)[:, None]
+    best = ctx.best_fresh(fresh_values, level_masks & (npkts_m <= n_slots))
+    level_best, level_value = best.tolist(), fresh_values[best].tolist()
+
+    def level_of(cap_units):
+        return bisect_right(levels, cap_units) - 1
+
+    best_key = None
+    best_assign = None
+
+    def consider(nf_lengths, cap_units, value):
+        nonlocal best_key, best_assign
+        level = level_of(cap_units)
+        total = value + level_value[level]
+        if best_key is not None and -total > best_key[0]:
+            return
+        fresh_lens = ctx.fresh_lengths[level_best[level]]
+        assign = [0.0] * len(buffer)
+        for idx, length in zip(nonfresh_idx, nf_lengths):
+            assign[idx] = length
+        pad = [0.0] * (n_slots - len(fresh_lens)) + list(fresh_lens)
+        for idx, length in zip(fresh_idx, pad):
+            assign[idx] = length
+        scheduled = sum(1 for a in assign if a > 0)
+        key = (-total, scheduled, tuple(assign))
+        if best_key is None or key < best_key:
+            best_key, best_assign = key, assign
+
+    def dfs(i, nf_lengths, cap_units, value):
+        if best_key is not None:
+            bound = value + suffix_best[i] + level_value[level_of(cap_units)]
+            if bound < -best_key[0] - 1e-12:
+                return
+        if i == len(options):
+            consider(nf_lengths, cap_units, value)
+            return
+        dfs(i + 1, nf_lengths + [0.0], cap_units, value)
+        for length, units, val in options[i]:
+            if units <= cap_units:
+                dfs(i + 1, nf_lengths + [length], cap_units - units, value + val)
+
+    dfs(0, [], ctx.unit, 0.0)
+    return best_assign
+
+
+def _random_buffers(ctx, table, max_pending, count, seed):
+    """count (buffer, gamma) pairs.  The pending counts run through 0 ..
+    max_pending four times and then cycle through 0 .. min(max_pending, 4);
+    pending packets sit at random slots with aggregate SNRs on a log grid
+    over 1e-3 .. 1e2 or at a decoding threshold, and gamma runs over a log
+    grid over 1e-3 .. 1e4 and every decoding threshold."""
+    rng = np.random.default_rng(seed)
+    gammas = np.concatenate([np.geomspace(1e-3, 1e4, 97), table.thresholds]).tolist()
+    sigmas = np.concatenate([np.geomspace(1e-3, 1e2, 61), table.thresholds]).tolist()
+    for n in range(count):
+        pending = n % (max_pending + 1) if n < 4 * (max_pending + 1) else n % min(max_pending + 1, 5)
+        size = ctx.buffer_cap if n % 4 else int(rng.integers(pending, ctx.buffer_cap + 1))
+        buffer = [PacketState() for _ in range(size)]
+        for i in rng.permutation(size)[:pending].tolist():
+            buffer[i] = PacketState(harq_count=int(rng.integers(1, 4)),
+                                    first_len=ctx.primary[int(rng.integers(len(ctx.primary)))],
+                                    snr_sigma=sigmas[int(rng.integers(len(sigmas)))])
+        yield buffer, gammas[n % len(gammas)]
+
+
+# The search is exponential in the pending count, the oracle's and
+# vl_schedule's alike: with the default lengths 6 pending packets take
+# 16-31 ms a buffer and 9 or more take seconds, so that config stops at 5.
+# The simulations never hold more than 4.
+@pytest.mark.parametrize("harq, table, max_pending", [
+    (DEFAULT_VL_HARQ, TABLE, 5), (VL_HARQ, VL_TABLE, 12), (VL_HARQ, VL_STEP_TABLE, 12),
+    (VL_ONE_ROUND, VL_TABLE, 3),
+], ids=["default", "a4", "step", "one-round"])
+def test_vl_schedule_equals_search_oracle(harq, table, max_pending):
+    from harqlink.simulator import _VlContext
+    ctx = _VlContext(harq, table)
+    assert max_pending <= ctx.buffer_cap
+    for buffer, gamma in _random_buffers(ctx, table, max_pending, 2000, seed=max_pending):
+        assert (vl_schedule(buffer, gamma, harq, table, ctx)
+                == _oracle_vl_schedule(buffer, gamma, table, ctx)), (buffer, gamma)
