@@ -16,6 +16,7 @@ expected duration, both region sums of FastFadingTables.renewal_sums.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -183,6 +184,18 @@ def slow_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
 
 _SPAN = 50.0  # the FastFadingTables grid ends at _SPAN * avg_snr
 
+# The work arrays of each thread's latest table build; see FastFadingTables.
+_work = threading.local()
+
+
+def _work_arrays(n: int) -> dict[str, np.ndarray]:
+    """Fresh work arrays for an n-point table build.  They stay this
+    thread's until its next build has made its own, so they outlive the
+    build that uses them."""
+    _work.arrays = {"y": np.empty(n), "t": np.empty(n - 1), "row": np.empty(n),
+                    "p_conj": np.empty(n + 1, complex), "product": np.empty(n + 1, complex)}
+    return _work.arrays
+
 
 class FastFadingTables:
     """Cumulative f_{k,l} tables over a shared SNR grid.
@@ -203,6 +216,20 @@ class FastFadingTables:
     density, and one rfft per rate serves every k.  Every region mass that
     fast_throughput and the fast optimizer use comes from `cum_mass`, and
     their renewal-reward sums from `renewal_sums`.
+
+    The trapezoid and the IR row chain write with out= into work arrays
+    (`_work_arrays`) that the build makes after its own x and cum and that
+    outlive it: they stay alive until the thread's next build has made
+    its own.  glibc hands freed heap back to the kernel when the top of
+    the heap is free, as it is when a sweep point frees its tables, and
+    every page handed back faults again in the next build.  With glibc
+    2.36, temporaries made afresh for every row took about 172k minor
+    faults per in-process fast README sweep, and work arrays freed with
+    their build as many; arrays made once by a thread's first build and
+    reused, which then lie below the later builds' heap, still took 96k.
+    Arrays that outlive the build keep the heap top in use: the same
+    sweep took under 60.  The arithmetic is that of the allocating build,
+    so every `cum` bit is the same.
     """
 
     def __init__(self, table: McsTable, K: int, combining: CombiningType,
@@ -226,15 +253,21 @@ class FastFadingTables:
         self.cum[:, :, 0] = 0.0
         if K < 2:
             return
+        work = _work_arrays(n)
         if combining is CombiningType.RR:
             rows = ((k, l, f) for l in range(L)
                     for k, f in enumerate(per_erlang_rows(l + 1, self.x, K - 1, table, avg_snr)))
         else:
-            rows = _ir_rows(table, K, n, dv, self.x, avg_snr)
+            rows = _ir_rows(table, K, n, dv, self.x, avg_snr, work)
+        y, t = work["y"], work["t"]
         for k, l, f in rows:
-            # scipy's cumulative_trapezoid, in its arithmetic
-            y = pdf * f
-            np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, out=self.cum[k, l, 1:])
+            # scipy's cumulative_trapezoid, in its arithmetic:
+            # cumsum(dx * (y[1:] + y[:-1]) / 2.0) with y = pdf * f
+            np.multiply(pdf, f, out=y)
+            np.add(y[1:], y[:-1], out=t)
+            np.multiply(dx, t, out=t)
+            np.divide(t, 2.0, out=t)
+            np.cumsum(t, out=self.cum[k, l, 1:])
 
     def cum_mass(self, l, x) -> np.ndarray:
         """Masses of pdf * f_{k,l} over [0, x) for k = 0..K, shaped (K + 1,) +
@@ -276,9 +309,15 @@ class FastFadingTables:
         return self
 
 
-def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
+def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float,
+             work: dict[str, np.ndarray]):
     """(k - 2, l - 1, f_{k,l}) for every IR row of FastFadingTables, k outer:
-    each row is irfft(G_l conj(P_{k-1}), 2n)[:n] dv, clipped to [0, 1]."""
+    each row is irfft(G_l conj(P_{k-1}), 2n)[:n] dv, clipped to [0, 1].
+
+    Every yielded row is the same array, the build's work array "row", so
+    a row is valid only until the next yield; FastFadingTables.__init__,
+    the only caller, integrates each row at once."""
+    p_conj, product, row = work["p_conj"], work["product"], work["row"]
     x_ext = mutual_information_inv(np.arange(2 * n) * dv)
     g_spectra = [np.fft.rfft(per(l, x_ext, table)) for l in range(1, table.num_rates + 1)]
     # p_1, the density of one round's MI
@@ -288,9 +327,11 @@ def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
         if k > 2:  # p becomes the density of the MI summed over k - 1 rounds
             p = np.fft.irfft(p_spectrum * p1_spectrum, 2 * n)[:n] * dv
             p_spectrum = np.fft.rfft(p, 2 * n)
-        p_conj = p_spectrum.conj()
+        np.conjugate(p_spectrum, out=p_conj)
         for l, g in enumerate(g_spectra):
-            yield k - 2, l, np.clip(np.fft.irfft(g * p_conj, 2 * n)[:n] * dv, 0.0, 1.0)
+            np.multiply(g, p_conj, out=product)
+            np.multiply(np.fft.irfft(product, 2 * n)[:n], dv, out=row)
+            yield k - 2, l, np.clip(row, 0.0, 1.0, out=row)
 
 
 def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,

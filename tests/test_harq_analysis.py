@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -393,6 +395,91 @@ def test_one_rate_table_is_a_row_of_the_full_table(combining):
         single = FastFadingTables(McsTable(rates=(TABLE.rate(l),), a_tilde=4.0), 3,
                                   combining, 10.0, n_grid=1 << 12)
         assert np.array_equal(single.cum[:, 0], full.cum[:, l - 1]), l
+
+
+def _oracle_cum(table, K, combining, avg_snr, n):
+    """FastFadingTables.cum as built before the work arrays: every row and
+    every trapezoid temporary a fresh array."""
+    dv = mutual_information(50.0 * avg_snr) / n
+    x = mutual_information_inv(np.arange(n) * dv)
+    pdf = np.exp(-x / avg_snr) / avg_snr
+    dx = np.diff(x)
+    L = table.num_rates
+    cum = np.empty((K - 1, L, n))
+    cum[:, :, 0] = 0.0
+    if K < 2:
+        return cum
+    if combining is CombiningType.RR:
+        rows = ((k, l, f) for l in range(L)
+                for k, f in enumerate(per_erlang_rows(l + 1, x, K - 1, table, avg_snr)))
+    else:
+        rows = _oracle_ir_rows(table, K, n, dv, x, avg_snr)
+    for k, l, f in rows:
+        y = pdf * f
+        np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, out=cum[k, l, 1:])
+    return cum
+
+
+def _oracle_ir_rows(table, K, n, dv, x, avg_snr):
+    x_ext = mutual_information_inv(np.arange(2 * n) * dv)
+    g_spectra = [np.fft.rfft(per(l, x_ext, table)) for l in range(1, table.num_rates + 1)]
+    p = math.log(2.0) * (1.0 + x) * np.exp(-x / avg_snr) / avg_snr
+    p1_spectrum = p_spectrum = np.fft.rfft(p, 2 * n)
+    for k in range(2, K + 1):
+        if k > 2:
+            p = np.fft.irfft(p_spectrum * p1_spectrum, 2 * n)[:n] * dv
+            p_spectrum = np.fft.rfft(p, 2 * n)
+        p_conj = p_spectrum.conj()
+        for l, g in enumerate(g_spectra):
+            yield k - 2, l, np.clip(np.fft.irfft(g * p_conj, 2 * n)[:n] * dv, 0.0, 1.0)
+
+
+def test_tables_equal_the_allocating_oracle_bit_for_bit():
+    # n varies fastest, so consecutive builds switch grid size and
+    # combining: a work array kept at the wrong size, or a row read after
+    # the next one overwrote it, would show
+    tables = {a: McsTable(rates=TABLE.rates, a_tilde=a) for a in (4.0, math.inf)}
+    cases = [(combining, K, a, db, n)
+             for a in (4.0, math.inf) for db in (-5.0, 10.0, 30.0) for K in (1, 2, 4)
+             for combining in (CombiningType.RR, CombiningType.IR) for n in (1 << 12, 1 << 13)]
+    for combining, K, a, db, n in cases:
+        avg = 10.0 ** (db / 10.0)
+        got = FastFadingTables(tables[a], K, combining, avg, n_grid=n).cum
+        assert np.array_equal(got, _oracle_cum(tables[a], K, combining, avg, n)), \
+            (combining, K, a, db, n)
+
+
+def test_concurrent_builds_equal_sequential_builds():
+    # builds in two threads at once, on one grid size, must never share
+    # work arrays, as they would if a later change reused one module-wide
+    # set: each would overwrite the other's rows
+    n = 1 << 12
+    jobs = [[(TABLE, 4, CombiningType.IR, 1.0), (TABLE, 3, CombiningType.RR, 5.0)],
+            [(McsTable(rates=(0.5, 2.0, 3.5), a_tilde=math.inf), 3, CombiningType.IR, 20.0),
+             (TABLE, 2, CombiningType.IR, 0.3)]]
+    want = [[FastFadingTables(*job, n_grid=n).cum for job in thread_jobs] for thread_jobs in jobs]
+    got = [[], []]
+
+    def run(i):
+        for _ in range(6):
+            got[i].append([FastFadingTables(*job, n_grid=n).cum for job in jobs[i]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert len(got[i]) == 6
+        for built in got[i]:
+            for cum, ref in zip(built, want[i]):
+                assert np.array_equal(cum, ref), i
 
 
 def _region_masses(tables, regions):
