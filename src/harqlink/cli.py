@@ -102,9 +102,12 @@ def _slow_regions(spec: SweepSpec) -> dict[CombiningType, DecisionRegions]:
 class _SnrPoint:
     """What the schemes of a sweep at one average SNR share: the MCS table,
     the amc-exact, amc-closed-form or per-target regions and, per combining
-    type, the fast-fading tables and the optimized regions, each made once
-    (harq-2r-bound reuses harq-ir's regions).  Slow-fading optimized
-    regions come from the sweep, as `slow_regions`."""
+    type, the optimized regions, each made once (harq-2r-bound reuses
+    harq-ir's regions).  Fast-fading optimized regions come with the
+    FastFadingTables they were optimized on, which the throughput of
+    those regions reads again; fixed regions get no tables, since
+    fast_throughput takes their masses without them.  Slow-fading
+    optimized regions come from the sweep, as `slow_regions`."""
 
     def __init__(self, spec: SweepSpec, snr_db: float,
                  slow_regions: dict[CombiningType, DecisionRegions]):
@@ -114,7 +117,10 @@ class _SnrPoint:
         self._tables: dict[CombiningType, FastFadingTables] = {}
         self._optimized = dict(slow_regions)
 
-    def tables(self, combining: CombiningType) -> FastFadingTables:
+    def tables(self, combining: CombiningType) -> FastFadingTables | None:
+        """The fast-fading tables of optimized regions; None for fixed ones."""
+        if self.spec.region_source != "optimized":
+            return None
         if combining not in self._tables:
             self._tables[combining] = FastFadingTables(self.table, self.spec.K, combining,
                                                        self.avg)

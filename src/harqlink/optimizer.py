@@ -4,12 +4,15 @@ Slow fading: the optimal regions are pointwise argmax sets of the per-rate
 throughput curves and come out as unions of intervals, each boundary the
 first float at which the winner changes (`amc.first_float_where`, the
 bisection that also places the exact AMC thresholds).  Fast fading: the
-throughput is the ratio N/C of a cycle's expected reward and duration,
-the region sums of FastFadingTables.renewal_sums that fast_throughput also
-takes.  One term per threshold makes it an exact monotone DP over the
-FastFadingTables grid (`_curve_diffs`, `_grid_argmax`) inside Dinkelbach's
-iteration lambda <- N/C (W. Dinkelbach, Management Science 13(7), 1967),
-then polished off the grid by golden-section search on the exact ratio.
+throughput is the ratio N/C of a cycle's expected reward and duration.
+The optimizer needs both as curves of each threshold, so it takes them
+from FastFadingTables (`renewal_sums`); fast_throughput takes the same
+sums from tables it is given, as the CLI gives it for optimized regions,
+and from spectral region masses otherwise.  One term per threshold makes
+it an exact monotone DP over the FastFadingTables grid (`_curve_diffs`,
+`_grid_argmax`) inside Dinkelbach's iteration lambda <- N/C
+(W. Dinkelbach, Management Science 13(7), 1967), then polished off the
+grid by golden-section search on the exact ratio.
 """
 
 from __future__ import annotations

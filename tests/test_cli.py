@@ -93,6 +93,26 @@ def test_sweep_builds_one_table_and_one_optimization_per_snr_and_combining(monke
     assert tables == optimized == Counter(dict.fromkeys(keys, 1))
 
 
+@pytest.mark.parametrize("region_source", ["amc-exact", "amc-closed-form", "per-target"])
+def test_fixed_region_sweep_builds_no_tables(monkeypatch, region_source):
+    # the throughput of fixed regions comes from spectral region masses, so
+    # neither a fast sweep nor its thresholds dump builds FastFadingTables
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    tables = Counter()
+    build = FastFadingTables.__init__
+
+    def counted_build(self, table, K, combining, avg_snr, **kw):
+        tables[(avg_snr, combining)] += 1
+        build(self, table, K, combining, avg_snr, **kw)
+
+    monkeypatch.setattr(FastFadingTables, "__init__", counted_build)
+    spec = _spec(schemes=("amc", "harq-ir", "harq-rr", "harq-2r-bound"),
+                 region_source=region_source)
+    lines, dump = run_sweep(spec), emit_thresholds(spec)
+    assert len(lines) == 1 + 4 * 3 and len(dump) == 1 + 3 * 3 * 5
+    assert tables == Counter()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_slow_sweep_optimizes_regions_once_per_combining(monkeypatch, workers):
     # slow-fading optimal regions do not depend on the average SNR, so the

@@ -533,6 +533,98 @@ def test_cum_mass_is_closed_form_and_np_interp(K, combining):
     assert np.array_equal(tables.cum_mass(5, tables.x), tables.cum_mass(5, tables.x.copy()))
 
 
+# the top rate on low SNR, where the IR rows near 1 meet the tables' [0, 1]
+# clip: at -5 dB (and 30 dB) f_{k,5} is 1 over all of [0, 5).  Its region
+# starts at 0 in the first, and above rate 1's in the second
+_TOP_RATE_LOW = (
+    DecisionRegions(RegionKind.INTERVALS, intervals=(
+        ((5.0, 6.0),), ((6.0, 7.0),), ((7.0, 8.0),), ((8.0, math.inf),), ((0.0, 5.0),))),
+    DecisionRegions(RegionKind.INTERVALS, intervals=(
+        ((0.0, 0.5), (5.0, 6.0)), ((6.0, 7.0),), ((7.0, 8.0),), ((8.0, math.inf),), ((0.5, 5.0),))))
+
+
+def _fixed_regions(table, x):
+    """amc-exact thresholds; degenerate regions; a boundary on a node of the
+    grid x and one past its end; interval unions that leave rate 3 out and
+    end past the grid at -5 dB; the top rate on low SNR."""
+    exact = amc_thresholds_exact(table)
+    t = exact.thresholds
+    node = float(x[np.searchsorted(x, t[2])])
+    yield exact
+    yield from _TOP_RATE_LOW
+    yield DecisionRegions(RegionKind.THRESHOLDS, thresholds=(0.0, 1.0, 1.0, 4.0, 4.0))
+    yield DecisionRegions(RegionKind.THRESHOLDS,
+                          thresholds=(0.0, t[1], node, t[3], 2.0 * float(x[-1])))
+    yield DecisionRegions(RegionKind.INTERVALS, intervals=(
+        ((0.0, 0.5), (3.0, 4.0)), ((0.5, 1.5), (4.0, 4.5), (30.0, math.inf)), (),
+        ((1.5, 3.0),), ((4.5, 30.0),)))
+
+
+def _per_rate(labels, rows):
+    """Rows over intervals summed into rows over the 5 rates."""
+    return np.array([np.bincount(labels - 1, r, 5) for r in rows]).reshape(-1, 5)
+
+
+@pytest.mark.parametrize("a_tilde", [4.0, math.inf])
+@pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])
+def test_region_masses_equal_table_mass_differences(combining, a_tilde):
+    # the spectral masses of fixed regions against the differences of
+    # cum_mass at the region ends.  Each is held relative to the larger of
+    # the region's probability, which bounds it, and the table's running
+    # mass at the region's upper end, whose cumulative sum carries rounding
+    # of 1e-14 at -5 dB (see the next test).  eta, which at -5 dB is 0.05
+    # to 0.2, is held to 1e-13 relative or absolute, whichever is larger
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    for K in (1, 2, 4):
+        for db in (-5.0, 10.0, 30.0):
+            avg = 10.0 ** (db / 10.0)
+            tables = FastFadingTables(table, K, combining, avg)
+            for regions in _fixed_regions(table, tables.x):
+                l, lows, highs = regions.labelled_intervals()
+                labels = np.array(l)
+                m = tables.cum_mass(labels, (highs, lows))
+                want = _per_rate(labels, m[:, 0] - m[:, 1])
+                scale = np.maximum(want[0], _per_rate(labels, m[2:, 0]))
+                got = harq_analysis._region_masses(l, lows, highs, K, combining, table, avg)
+                assert got.shape == (K - 1, 5)
+                assert np.all(np.abs(got - want[2:]) <= 1e-13 * scale), (K, db, regions)
+                eta = fast_throughput(regions, K, combining, table, avg).value
+                assert eta == pytest.approx(
+                    fast_throughput(regions, K, combining, table, avg, tables=tables).value,
+                    rel=1e-13, abs=1e-13), (K, db, regions)
+
+
+@pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])
+def test_region_masses_equal_an_exactly_summed_trapezoid(combining):
+    # the trapezoid of pdf * f_{k,l} over each rate's region (amc-exact, and
+    # the top rate on low SNR), its cell terms summed by math.fsum, with the
+    # rows of the table build (the Erlang closed form, or the allocating
+    # oracle's IR correlations, clipped to [0, 1]).  The spectral masses are
+    # within 1e-15 of the region's probability P_l; the tables' cumulative
+    # sums miss these sums by up to 3.9e-12 P_l at -5 dB
+    n, K = 1 << 15, 3
+    for db in (-5.0, 10.0, 30.0):
+        avg = 10.0 ** (db / 10.0)
+        dv, x = harq_analysis._mi_grid(avg, n)
+        if combining is CombiningType.RR:
+            rows = {(k, r - 1): f for r in range(1, 6)
+                    for k, f in enumerate(per_erlang_rows(r, x, K - 1, TABLE, avg))}
+        else:
+            rows = {(k, r): f.copy() for k, r, f in _oracle_ir_rows(TABLE, K, n, dv, x, avg)}
+        y_pdf = np.exp(-x / avg) / avg
+        for regions in (amc_thresholds_exact(TABLE),) + _TOP_RATE_LOW:
+            l, lows, highs = regions.labelled_intervals()
+            got = harq_analysis._region_masses(l, lows, highs, K, combining, TABLE, avg)
+            for (k, r), f in rows.items():
+                y = y_pdf * f
+                ends = regions.intervals_for(r + 1)
+                covered = sum(np.clip(np.minimum(b, x[1:]) - np.maximum(a, x[:-1]), 0.0, None)
+                              for a, b in ends)
+                want = math.fsum(covered * (y[:-1] + y[1:]) / 2.0)
+                p = sum(region_mass(r + 1, a, b, avg)[0] for a, b in ends)
+                assert abs(got[k, r] - want) <= 1e-15 * p, (db, k, r, regions)
+
+
 def test_fast_throughput_on_interval_regions_equals_threshold_form():
     # splitting every threshold region into sub-intervals leaves the throughput
     regions = amc_thresholds_exact(TABLE)

@@ -100,8 +100,9 @@ def test_tables_built_for_another_problem_are_rejected():
     assert fast_optimize_regions(2, CombiningType.RR, TABLE, 3.0).throughput.value == (
         pytest.approx(0.97345, abs=1e-5))
     same = McsTable(rates=TABLE.rates, a_tilde=4.0)
+    own = FastFadingTables(TABLE, 4, CombiningType.IR, 10.0)
     assert (fast_throughput(regions, 4, CombiningType.IR, same, 10.0, tables=tables).value
-            == fast_throughput(regions, 4, CombiningType.IR, TABLE, 10.0).value)
+            == fast_throughput(regions, 4, CombiningType.IR, TABLE, 10.0, tables=own).value)
 
 
 @pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])
