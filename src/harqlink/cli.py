@@ -22,9 +22,9 @@ from . import amc as amc_mod
 from .amc import DecisionRegions, RegionKind
 from .channel import ChannelConfig, FadingMode, db_to_linear, linear_to_db
 from .coding import CombiningType, McsTable
-from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
-                            fast_throughput, slow_throughput, two_round_bound)
-from .optimizer import fast_optimize_regions, slow_optimal_regions
+from .harq_analysis import (HarqConfig, HarqVariant, fast_throughput, slow_throughput,
+                            two_round_bound)
+from .optimizer import FastOptimizeResult, fast_optimize_regions, slow_optimal_regions
 from .simulator import simulate_packet_drop, simulate_vl
 
 SCHEMES = ("amc", "harq-rr", "harq-ir", "harq-2r-bound", "pd-harq", "vl-harq")
@@ -103,10 +103,9 @@ class _SnrPoint:
     """What the schemes of a sweep at one average SNR share: the MCS table,
     the amc-exact, amc-closed-form or per-target regions and, per combining
     type, the optimized regions, each made once (harq-2r-bound reuses
-    harq-ir's regions).  Fast-fading optimized regions come with the
-    FastFadingTables they were optimized on, which the throughput of
-    those regions reads again; fixed regions get no tables, since
-    fast_throughput takes their masses without them.  Slow-fading
+    harq-ir's regions).  Fast-fading optimized regions come as the whole
+    FastOptimizeResult, whose ratio is the throughput of its regions, so
+    harq-rr and harq-ir report it without computing it again.  Slow-fading
     optimized regions come from the sweep, as `slow_regions`."""
 
     def __init__(self, spec: SweepSpec, snr_db: float,
@@ -114,27 +113,23 @@ class _SnrPoint:
         self.spec, self.snr_db = spec, snr_db
         self.table = McsTable(rates=spec.rates, a_tilde=spec.a_tilde)
         self.avg = db_to_linear(snr_db)
-        self._tables: dict[CombiningType, FastFadingTables] = {}
-        self._optimized = dict(slow_regions)
+        self._slow = slow_regions
+        self._fast: dict[CombiningType, FastOptimizeResult] = {}
 
-    def tables(self, combining: CombiningType) -> FastFadingTables | None:
-        """The fast-fading tables of optimized regions; None for fixed ones."""
-        if self.spec.region_source != "optimized":
-            return None
-        if combining not in self._tables:
-            self._tables[combining] = FastFadingTables(self.table, self.spec.K, combining,
-                                                       self.avg)
-        return self._tables[combining]
+    def optimized(self, combining: CombiningType) -> FastOptimizeResult:
+        """The fast-fading optimization for `combining`, made once."""
+        if combining not in self._fast:
+            self._fast[combining] = fast_optimize_regions(self.spec.K, combining, self.table,
+                                                          self.avg)
+        return self._fast[combining]
 
     def regions(self, combining: CombiningType | None) -> DecisionRegions:
-        spec, table = self.spec, self.table
         # optimized regions need a combining type; schemes without one use amc-exact
-        if spec.region_source != "optimized" or combining is None:
+        if self.spec.region_source != "optimized" or combining is None:
             return self._fixed_regions
-        if combining not in self._optimized:
-            self._optimized[combining] = fast_optimize_regions(
-                spec.K, combining, table, self.avg, tables=self.tables(combining)).regions
-        return self._optimized[combining]
+        if combining in self._slow:
+            return self._slow[combining]
+        return self.optimized(combining).regions
 
     @cached_property
     def _fixed_regions(self) -> DecisionRegions:
@@ -164,9 +159,10 @@ def _sweep_point(point: _SnrPoint, scheme: str, point_idx: int) -> dict:
         regions = point.regions(combining)
         if fading is FadingMode.SLOW:
             row["throughput"] = slow_throughput(regions, spec.K, combining, table, avg).value
+        elif spec.region_source == "optimized":
+            row["throughput"] = point.optimized(combining).throughput.value
         else:
-            row["throughput"] = fast_throughput(regions, spec.K, combining, table, avg,
-                                                tables=point.tables(combining)).value
+            row["throughput"] = fast_throughput(regions, spec.K, combining, table, avg).value
     elif scheme == "harq-2r-bound":
         row["throughput"] = two_round_bound(point.regions(CombiningType.IR), table, avg)
     elif scheme == "pd-harq":

@@ -14,7 +14,7 @@ expected duration, both sums of each rate's masses over its own region.
 Fixed regions need those masses only, and `fast_throughput` takes them
 from one grid functional per region (`_region_masses`), for IR as
 spectral inner products; the region optimizer needs them as curves of the
-threshold, and takes them from FastFadingTables.
+threshold, so it builds FastFadingTables and returns the ratio it maximizes.
 """
 
 from __future__ import annotations
@@ -249,10 +249,9 @@ class FastFadingTables:
     spectra of `_ir_spectra`.  All transforms have length 2n: the circular
     correlation of the 2n-point g_l with the zero-padded p_{k-1} reaches
     index i + j <= 2n - 2 for the n outputs i < n a row keeps, so it never
-    wraps.  The region optimizer reads every region mass from `cum_mass`
-    and its renewal-reward sums from `renewal_sums`, as does fast_throughput
-    when it is given tables; without tables, fast_throughput takes the same
-    masses from `_region_masses` and builds none.
+    wraps.  The region optimizer, the only harqlink code that builds them,
+    reads every region mass from `cum_mass` and its renewal-reward sums
+    from `renewal_sums`; so does fast_throughput when it is given tables.
 
     The trapezoid and the IR row chain write with out= into work arrays
     (`_work_arrays`) that the build makes after its own x and cum, in the
@@ -480,14 +479,14 @@ def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
                     tables: FastFadingTables | None = None) -> ThroughputEstimate:
     """Renewal-reward throughput over fast fading: the expected reward of a
     cycle over its expected duration, both sums of each rate's masses over
-    its regions.  Without tables the masses come from `_region_masses`, for
-    k >= 2, and from `first_round_cum`; no FastFadingTables is built.
-    Given tables, which must have been built for the same table, K,
-    combining and avg_snr, `FastFadingTables.renewal_sums` makes the sums.
-    The two values agree to 1e-13 absolute.  Both sum the same clipped
-    rows by the trapezoid; the tables' cumulative sums carry the larger
-    rounding, up to 3.9e-12 of a region's probability at -5 dB against
-    1e-15 here."""
+    its regions, from `_region_masses` (k >= 2) and `first_round_cum`, or,
+    given tables of the same problem, from `FastFadingTables.renewal_sums`
+    as in the region optimizer (only perfbench's optimized-regions check,
+    as its reference, passes them).  The two agree to 1e-13; the tables
+    round more (3.9e-12 of a region's probability at -5 dB, against 1e-15).
+    At -15 dB and below both can be slightly negative (-4.9e-8 at -20 dB,
+    amc-exact, K = 2): the trapezoid overestimates E_{K,l}, which exceeds
+    the exact P_l where f_{K,l} is 1."""
     l, a, b = regions.labelled_intervals()
     if tables is not None:
         tables.check_problem(table, K, combining, avg_snr)

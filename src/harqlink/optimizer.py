@@ -5,14 +5,12 @@ throughput curves and come out as unions of intervals, each boundary the
 first float at which the winner changes (`amc.first_float_where`, the
 bisection that also places the exact AMC thresholds).  Fast fading: the
 throughput is the ratio N/C of a cycle's expected reward and duration.
-The optimizer needs both as curves of each threshold, so it takes them
-from FastFadingTables (`renewal_sums`); fast_throughput takes the same
-sums from tables it is given, as the CLI gives it for optimized regions,
-and from spectral region masses otherwise.  One term per threshold makes
-it an exact monotone DP over the FastFadingTables grid (`_curve_diffs`,
-`_grid_argmax`) inside Dinkelbach's iteration lambda <- N/C
-(W. Dinkelbach, Management Science 13(7), 1967), then polished off the
-grid by golden-section search on the exact ratio.
+The optimizer needs both as curves of each threshold, so it builds and
+holds the FastFadingTables of its problem (`renewal_sums`), the only code
+that does.  One term per threshold makes it an exact monotone DP over the
+tables' grid (`_curve_diffs`, `_grid_argmax`) inside Dinkelbach's
+iteration lambda <- N/C (W. Dinkelbach, Management Science 13(7), 1967),
+then polished off the grid by golden-section search on the exact ratio.
 """
 
 from __future__ import annotations
@@ -167,8 +165,7 @@ def _grid_argmax(d_reward: np.ndarray, d_cost: np.ndarray, lam: float,
 
 
 def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
-                          avg_snr: float,
-                          tables: FastFadingTables | None = None) -> FastOptimizeResult:
+                          avg_snr: float) -> FastOptimizeResult:
     """Throughput-maximizing threshold vector for fast fading.
 
     With gamma_1 = 0, F(gamma, lam) = N(gamma) - lam C(gamma) is a constant
@@ -179,10 +176,10 @@ def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
     golden-section search on the exact ratio N/C, one threshold at a time,
     within two grid cells of its DP index and inside its neighbours, and
     keeps a move only if the ratio strictly increases.  A threshold equal to
-    its neighbour gives a degenerate region.
+    its neighbour gives a degenerate region.  The returned throughput is
+    the ratio N/C at the returned thresholds on this call's tables.
     """
-    tables = (FastFadingTables(table, K, combining, avg_snr) if tables is None
-              else tables.check_problem(table, K, combining, avg_snr))
+    tables = FastFadingTables(table, K, combining, avg_snr)
     x = tables.x
     d_reward, d_cost = _curve_diffs(tables)
     work = np.empty_like(d_reward)

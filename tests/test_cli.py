@@ -70,11 +70,13 @@ def test_sweep_parallel_matches_serial(monkeypatch):
 
 
 def test_sweep_builds_one_table_and_one_optimization_per_snr_and_combining(monkeypatch):
-    # harq-2r-bound reuses the IR regions that harq-ir optimized on the same
-    # tables, and harq-ir's throughput reads those tables again
+    # harq-2r-bound reuses the IR regions that harq-ir optimized, and the
+    # harq-rr and harq-ir rows are the optimizer's own ratio: the sweep
+    # computes no throughput of optimized regions again
     monkeypatch.setenv("HARQLINK_WORKERS", "1")
-    tables, optimized = Counter(), Counter()
+    tables, optimized, eta = Counter(), Counter(), {}
     build, optimize = FastFadingTables.__init__, cli.fast_optimize_regions
+    throughput, evaluated = cli.fast_throughput, []
 
     def counted_build(self, table, K, combining, avg_snr, **kw):
         tables[(avg_snr, combining)] += 1
@@ -82,15 +84,28 @@ def test_sweep_builds_one_table_and_one_optimization_per_snr_and_combining(monke
 
     def counted_optimize(K, combining, table, avg_snr, **kw):
         optimized[(avg_snr, combining)] += 1
-        return optimize(K, combining, table, avg_snr, **kw)
+        res = optimize(K, combining, table, avg_snr, **kw)
+        eta[(avg_snr, combining)] = res.throughput.value
+        return res
+
+    def counted_throughput(*args, **kw):
+        evaluated.append(args)
+        return throughput(*args, **kw)
 
     monkeypatch.setattr(FastFadingTables, "__init__", counted_build)
     monkeypatch.setattr(cli, "fast_optimize_regions", counted_optimize)
+    monkeypatch.setattr(cli, "fast_throughput", counted_throughput)
     lines = run_sweep(_spec(schemes=("harq-ir", "harq-rr", "harq-2r-bound"),
                             region_source="optimized", snr_db_stop=5.0))
     assert len(lines) == 1 + 3 * 2
     keys = {(db_to_linear(g), c) for g in (0.0, 5.0) for c in CombiningType}
     assert tables == optimized == Counter(dict.fromkeys(keys, 1))
+    assert evaluated == []
+    cols = CSV_HEADER.split(",")
+    rows = [dict(zip(cols, line.split(","))) for line in lines[1:]]
+    got = {(db_to_linear(float(r["snr_avg_db"])), CombiningType(r["combining"])): r["throughput"]
+           for r in rows if r["scheme"] in ("harq-rr", "harq-ir")}
+    assert got == {key: cli._fmt(value) for key, value in eta.items()}
 
 
 @pytest.mark.parametrize("region_source", ["amc-exact", "amc-closed-form", "per-target"])

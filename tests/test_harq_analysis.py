@@ -660,6 +660,19 @@ def test_fast_throughput_regression_and_mc_agreement():
         FAST_IR_K4_AT_10, rel=1e-5)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "P_l is the closed form but E_{K,l} the trapezoid on the MI grid, which "
+    "overestimates the convex pdf's integral; where f_{K,l} is 1 over a "
+    "region E_{K,l} exceeds P_l and eta comes out about -5e-8 (-20 dB) and "
+    "-2.7e-8 (-15 dB)"))
+@pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])
+@pytest.mark.parametrize("snr_db", [-20.0, -15.0])
+def test_fast_throughput_nonnegative_at_low_snr(combining, snr_db):
+    eta = fast_throughput(amc_thresholds_exact(TABLE), 2, combining, TABLE,
+                          10.0 ** (snr_db / 10.0)).value
+    assert eta >= 0.0
+
+
 def test_two_round_bound_dominates_harq():
     regions = amc_thresholds_exact(TABLE)
     assert two_round_bound(regions, TABLE, 10.0) == pytest.approx(TRB_AT_10, rel=1e-6)

@@ -84,7 +84,7 @@ def test_reward_cost_sign_brackets_throughput():
 
 def test_tables_built_for_another_problem_are_rejected():
     # K = 4 IR tables at 10 dB used to answer for K = 2 RR at 3 dB: 1.96212
-    # where 0.96851 is right, and an optimum of 1.97304 for 0.97345
+    # where 0.96851 is right (the optimum there is 0.97345)
     tables = FastFadingTables(TABLE, 4, CombiningType.IR, 10.0)
     regions = amc_thresholds_exact(TABLE)
     others = [(TABLE, 2, CombiningType.RR, 3.0), (TABLE, 4, CombiningType.RR, 10.0),
@@ -93,8 +93,6 @@ def test_tables_built_for_another_problem_are_rejected():
     for table, K, combining, avg in others:
         with pytest.raises(ValueError, match="another"):
             fast_throughput(regions, K, combining, table, avg, tables=tables)
-        with pytest.raises(ValueError, match="another"):
-            fast_optimize_regions(K, combining, table, avg, tables=tables)
     assert fast_throughput(regions, 2, CombiningType.RR, TABLE, 3.0).value == pytest.approx(
         0.96851, abs=1e-5)
     assert fast_optimize_regions(2, CombiningType.RR, TABLE, 3.0).throughput.value == (
@@ -108,21 +106,19 @@ def test_tables_built_for_another_problem_are_rejected():
 @pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])
 def test_optimized_regions_beat_amc_regions(combining):
     avg = 10.0
-    tables = FastFadingTables(TABLE, 4, combining, avg)
-    res = fast_optimize_regions(4, combining, TABLE, avg, tables=tables)
+    res = fast_optimize_regions(4, combining, TABLE, avg)
     t = res.regions.thresholds
     assert t[0] == 0.0
     assert all(b >= a for a, b in zip(t, t[1:]))
-    baseline = fast_throughput(amc_thresholds_exact(TABLE), 4, combining,
-                               TABLE, avg, tables=tables).value
+    baseline = fast_throughput(amc_thresholds_exact(TABLE), 4, combining, TABLE, avg,
+                               tables=FastFadingTables(TABLE, 4, combining, avg)).value
     assert res.throughput.value >= baseline - 1e-9
     assert res.certificate <= 1e-12
 
 
 def test_optimized_regions_high_snr_non_degenerate():
     avg = 10.0 ** 2.5  # 25 dB
-    tables = FastFadingTables(TABLE, 4, CombiningType.IR, avg)
-    res = fast_optimize_regions(4, CombiningType.IR, TABLE, avg, tables=tables)
+    res = fast_optimize_regions(4, CombiningType.IR, TABLE, avg)
     t = res.regions.thresholds
     assert all(b > a for a, b in zip(t, t[1:]))
     assert res.certificate <= 1e-12
@@ -152,23 +148,32 @@ def test_optimized_thresholds_all_above_single_shot_at_high_snr():
 
 def test_fast_optimize_regions_is_deterministic():
     avg = 10.0
-    tables = FastFadingTables(TABLE, 4, CombiningType.IR, avg)
-    a = fast_optimize_regions(4, CombiningType.IR, TABLE, avg, tables=tables)
+    a = fast_optimize_regions(4, CombiningType.IR, TABLE, avg)
     b = fast_optimize_regions(4, CombiningType.IR, TABLE, avg)
     assert a == b
 
 
 @pytest.mark.parametrize("combining", [CombiningType.RR, CombiningType.IR])
-@pytest.mark.parametrize("snr_db", [-5.0, 5.0, 10.0, 25.0])
-def test_fast_optimize_certificate(combining, snr_db):
+@pytest.mark.parametrize("snr_db, K, a_tilde", [
+    pytest.param(snr_db, K, a_tilde, id=f"{snr_db}{suffix}")
+    for K, a_tilde, suffix in ((4, 4.0, ""), (1, 4.0, "-K1"), (2, 4.0, "-K2"),
+                               (4, math.inf, "-inf"))
+    for snr_db in (-5.0, 5.0, 10.0, 25.0)])
+def test_fast_optimize_certificate(combining, snr_db, K, a_tilde):
     # no grid threshold vector beats the returned ratio: the grid maximum
-    # of F(., eta) is <= 0 up to rounding, and the Dinkelbach trace climbs
+    # of F(., eta) is <= 0 up to rounding, and the Dinkelbach trace climbs;
+    # the ratio is, bit for bit, the throughput of the returned regions on
+    # the tables of the problem, which the CLI reports for optimized rows
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
     avg = 10.0 ** (snr_db / 10.0)
-    res = fast_optimize_regions(4, combining, TABLE, avg)
+    res = fast_optimize_regions(K, combining, table, avg)
     assert res.certificate <= 1e-12
     lams = [state.lam for state in res.iterations]
     assert lams[0] == 0.0 and len(lams) >= 2
     assert all(b > a for a, b in zip(lams, lams[1:]))
     assert res.throughput.value >= lams[-1]
-    eta = fast_throughput(res.regions, 4, combining, TABLE, avg).value
+    tables = FastFadingTables(table, K, combining, avg)
+    assert res.throughput.value == fast_throughput(res.regions, K, combining, table, avg,
+                                                   tables=tables).value
+    eta = fast_throughput(res.regions, K, combining, table, avg).value
     assert eta == pytest.approx(res.throughput.value, abs=1e-12)
