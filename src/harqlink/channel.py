@@ -54,6 +54,27 @@ def make_stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _cursor_after(gen: np.random.Generator, k: int) -> np.random.Generator:
+    """A second cursor on gen's Philox stream: a new generator whose next
+    double is the one gen would return after k more doubles; gen does not
+    move.  Philox emits four 64-bit words per counter step and `random()`
+    takes one word per double, so this costs O(1) whatever k is: a copy of
+    gen's state skips the words left in gen's buffer and then whole
+    four-word counter steps (`advance` empties the buffer), and draws the
+    rest, fewer than four.  For a fresh stream that is k // 4 steps and
+    k % 4 draws."""
+    state = gen.bit_generator.state
+    skip = k + state["buffer_pos"] - 4  # words past the end of gen's buffer
+    bit_gen = np.random.Philox()
+    bit_gen.state = state
+    if skip > 0:
+        bit_gen.advance(skip // 4)
+        k = skip % 4
+    cursor = np.random.Generator(bit_gen)
+    cursor.random(k)
+    return cursor
+
+
 def draw_exponential(gen: np.random.Generator, avg_snr: float, size=None):
     """Inverse-CDF exponential draws, -avg*log(1-U); platform-reproducible."""
     u = gen.random(size)

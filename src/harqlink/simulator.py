@@ -5,6 +5,13 @@ Per-round outcomes follow the backward-implication error model: given the
 previous rounds failed, round k fails with probability f_k / f_{k-1},
 where f_k = PER(aggregate SNR after k rounds).  One uniform per block
 (fast fading) or per cycle against the nested cascade (slow) reproduces it.
+
+Every engine draws from one Philox stream per (seed, stream id), and its
+memory does not grow with `blocks`.  The fast-fading contract is "every
+block's SNR, then the uniforms", and the engines keep its values exactly
+while holding one chunk of each: the SNRs come from the stream's own
+cursor, and the uniforms from a second cursor that starts `blocks` draws
+ahead (`channel._cursor_after`, O(1) on a counter-based generator).
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ from itertools import product
 import numpy as np
 
 from .amc import DecisionRegions, classify
-from .channel import ChannelConfig, FadingMode, draw_exponential, make_stream
+from .channel import (ChannelConfig, FadingMode, _cursor_after, draw_exponential,
+                      make_stream)
 from .coding import (CombiningType, McsTable, mutual_information,
                      mutual_information_inv, per_at)
 from .harq_analysis import HarqConfig, HarqVariant, slow_cascades
 
 _N_BATCHES = 50
-_CHUNK = 1 << 16  # rows of a vectorized pass: fast-fading cycle starts
+_CHUNK = 1 << 14  # rows of a vectorized pass: fast-fading cycle starts
 
 
 @dataclass
@@ -62,6 +70,7 @@ def _ci(ratios: np.ndarray) -> float:
 
 
 _SLOW_CYCLES_PER_DRAW = 512
+_SLOW_ROWS = 32  # drawn SNRs whose cycles are evaluated at a time
 
 
 def _simulate_slow_ratio(regions: DecisionRegions, K: int, combining: CombiningType,
@@ -69,7 +78,11 @@ def _simulate_slow_ratio(regions: DecisionRegions, K: int, combining: CombiningT
                          stream_id: int) -> SimResult:
     """Slow fading: the SNR stays fixed over many consecutive cycles, so the
     long-run throughput is the fading average of per-SNR cycle ratios.  Each
-    drawn SNR is held for a run of cycles; the run ratios are averaged."""
+    drawn SNR is held for a run of cycles; the run ratios are averaged.
+    RNG contract: each step draws 256 SNRs, then a (256, 512) array of
+    uniforms, one per cycle, from the same stream.  The uniforms are drawn
+    and tested in row blocks of _SLOW_ROWS draws, which yields the same
+    values and per-row sums, so a step holds one row block at a time."""
     gen = make_stream(channel.seed, stream_id)
     rates = np.asarray(table.rates)
     m = _SLOW_CYCLES_PER_DRAW
@@ -82,14 +95,19 @@ def _simulate_slow_ratio(regions: DecisionRegions, K: int, combining: CombiningT
         g = draw_exponential(gen, channel.avg_snr, n)
         l_hat = classify(g, regions)
         f = slow_cascades(g, K, combining, table)[np.arange(n), l_hat - 1]
-        v = gen.random((n, m))
-        n_fail = (v[:, :, None] < f[:, None, :]).sum(axis=2)
-        success = n_fail < K
-        rounds = np.where(success, n_fail + 1, K)
-        reward = np.where(success, rates[l_hat - 1][:, None], 0.0)
-        ratio_chunks.append(reward.sum(axis=1) / rounds.sum(axis=1))
-        total_rounds += int(rounds.sum())
-        acked += int(success.sum())
+        r = rates[l_hat - 1]
+        run_ratios = np.empty(n)
+        for s in range(0, n, _SLOW_ROWS):
+            rows = slice(s, s + _SLOW_ROWS)
+            v = gen.random((_SLOW_ROWS, m))
+            n_fail = (v[:, :, None] < f[rows, None, :]).sum(axis=2)
+            success = n_fail < K
+            rounds = np.where(success, n_fail + 1, K)
+            reward = np.where(success, r[rows, None], 0.0)
+            run_ratios[rows] = reward.sum(axis=1) / rounds.sum(axis=1)
+            total_rounds += int(rounds.sum())
+            acked += int(success.sum())
+        ratio_chunks.append(run_ratios)
 
     ratios = np.concatenate(ratio_chunks)
     cut = (ratios.size // _N_BATCHES) * _N_BATCHES
@@ -129,16 +147,19 @@ def _simulate_cycles(regions: DecisionRegions, harq: HarqConfig, table: McsTable
                      channel: ChannelConfig, blocks: int, stream_id: int) -> SimResult:
     """Plain or packet-drop HARQ cycles; only packet drop runs the index-rise
     test.  Fast-fading RNG contract: all block SNRs are drawn first, then one
-    uniform per block, from the same stream.  Every block consumes its
-    uniform whatever the protocol state, so the cycle that would start
-    fresh at block i has an outcome fixed by blocks i .. i+K-1.  That
-    outcome is computed for every i in vectorized passes over chunks of
-    blocks, whose uniforms are read from arrays drawn as the chunks reach
-    them; the first round, where every start is live, runs on whole-chunk
-    masks.  A walk follows the next-start pointers from block 0, one step
-    per multi-block cycle.  Rewards are added in block order, as a
-    block-by-block loop adds them, and a failed K-th round (the first, for
-    K = 1) is a drop.  The passes run on the array paths of `per_at` and
+    uniform per block, from the same stream.  The values are those of that
+    order, but both are drawn chunk by chunk through two cursors: each
+    chunk draws the SNRs and uniforms of its blocks and of the K - 1
+    blocks past it that are not drawn yet, the uniforms from a cursor
+    `blocks` draws ahead, and keeps the K - 1 for the next chunk.  Every
+    block consumes its uniform whatever the protocol state, so the cycle
+    that would start fresh at block i has an outcome fixed by blocks
+    i .. i+K-1.  That outcome is computed for every i in vectorized passes
+    over the chunks; the first round, where every start is live, runs on
+    whole-chunk masks.  A walk follows the next-start pointers from block
+    0, one step per multi-block cycle.  Rewards are added in block order,
+    as a block-by-block loop adds them, and a failed K-th round (the
+    first, for K = 1) is a drop.  The passes run on the array paths of `per_at` and
     `mutual_information_inv`, which can differ from the scalar paths in the
     last bit, so the result equals that of a block loop on the scalar paths
     unless a decision u < p_k / p_{k-1} or an aggregate-SNR threshold test
@@ -157,8 +178,8 @@ def _simulate_cycles(regions: DecisionRegions, harq: HarqConfig, table: McsTable
     drop_on_rise = harq.variant is HarqVariant.PACKET_DROP
     thresholds = np.asarray(table.thresholds)
     rates = np.asarray(table.rates)
-    gammas = draw_exponential(gen, channel.avg_snr, blocks)
-    u = np.empty(0)  # the uniforms of the blocks that g covers, drawn as reached
+    ugen = _cursor_after(gen, blocks)  # the uniforms follow every block's SNR
+    g = u = np.empty(0)  # the SNRs and uniforms drawn for blocks from c0 on
 
     reward = 0.0
     acked = 0
@@ -171,8 +192,9 @@ def _simulate_cycles(regions: DecisionRegions, harq: HarqConfig, table: McsTable
         n = min(_CHUNK, blocks - c0)
         i = np.arange(n)
         # the cycles starting in this chunk, and the K - 1 blocks they reach past it
-        g = gammas[c0:c0 + n + K - 1]
-        u = np.concatenate((u, gen.random(g.size - u.size)))
+        new = min(n + K - 1, blocks - c0) - g.size
+        g = np.concatenate((g, draw_exponential(gen, channel.avg_snr, new)))
+        u = np.concatenate((u, ugen.random(new)))
         l_hat = classify(g, regions)
         th = thresholds[l_hat - 1]
         p = per_at(g, th, table.a_tilde)
@@ -216,7 +238,7 @@ def _simulate_cycles(regions: DecisionRegions, harq: HarqConfig, table: McsTable
             hops.append(q)
             s = step[q]
         pos = c0 + max(s, n)  # s < n: one-block cycles run to the chunk's end
-        u = u[n:]
+        g, u = g[n:], u[n:]
         hops = np.array(hops, dtype=np.intp)
         # no cycle starts strictly inside a walked multi-block cycle
         inside = np.zeros(n + 1, dtype=np.int8)
@@ -508,15 +530,17 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     ACKed packet per block.
 
     RNG contract: all block SNRs are drawn first, then one uniform per
-    scheduled packet, in buffer order, from the same stream.  Uniforms are
-    drawn into an array as needed and read from it, which yields the same
-    values as one draw per packet.  A block whose buffer holds only fresh
-    packets skips `vl_schedule`: with no retransmission candidates the
-    schedule is the best fresh multiset under the full budget, which is
-    precomputed for blocks in chunks.  A run of such blocks reads its
-    uniforms at offsets that are a cumsum of the multisets' packet counts,
-    so one compare of the run's uniforms against its packets' PERs finds
-    the first NACK.  The blocks before it ACK every packet and are
+    scheduled packet, in buffer order, from the same stream.  The values
+    are those of that order, but both are drawn through two cursors: the
+    SNRs one chunk of blocks at a time, and the uniforms, from a cursor
+    `blocks` draws ahead, into an array as needed; reading them from it
+    yields the same values as one draw per packet.  A block whose buffer
+    holds only fresh packets skips `vl_schedule`: with no retransmission
+    candidates the schedule is the best fresh multiset under the full
+    budget, which is precomputed for blocks in chunks.  A run of such
+    blocks reads its uniforms at offsets that are a cumsum of the
+    multisets' packet counts, so one compare of the run's uniforms against
+    its packets' PERs finds the first NACK.  The blocks before it ACK every packet and are
     committed at once; the NACK block goes through `vl_update`, and each
     block after it that holds pending packets through `vl_schedule` and
     `vl_update`.  The precomputation runs on `per_at`'s array path, which
@@ -530,7 +554,7 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
         raise ValueError("blocks must be >= 1e5")
     ctx = _vl_context(harq, table)
     gen = make_stream(channel.seed, stream_id)
-    gammas = draw_exponential(gen, channel.avg_snr, blocks)
+    ugen = _cursor_after(gen, blocks)  # the uniforms follow every block's SNR
     u, upos = np.empty(0), 0  # the uniforms drawn so far, and the next unread one
 
     def ahead(m: int) -> np.ndarray:
@@ -538,7 +562,7 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
         not consume them."""
         nonlocal u, upos
         if u.size - upos < m:
-            u, upos = np.concatenate((u[upos:], gen.random(m + _VL_CHUNK))), 0
+            u, upos = np.concatenate((u[upos:], ugen.random(m + _VL_CHUNK))), 0
         return u[upos:upos + m]
 
     r1 = table.rates[0]
@@ -554,7 +578,7 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     batch_size = blocks // _N_BATCHES
 
     for start in range(0, blocks, _VL_CHUNK):
-        g_chunk = gammas[start:start + _VL_CHUNK]
+        g_chunk = draw_exponential(gen, channel.avg_snr, min(_VL_CHUNK, blocks - start))
         n = g_chunk.size
         per_rows, choice = ctx.fresh_chunk(g_chunk)
         # the packets of every block's fresh multiset, flat in block order:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from harqlink.channel import (ChannelConfig, FadingMode, db_to_linear,
+from harqlink.channel import (ChannelConfig, FadingMode, _cursor_after, db_to_linear,
                               draw_exponential, linear_to_db, make_stream)
 from harqlink.coding import McsTable, first_round_cum
 
@@ -66,3 +66,18 @@ def test_db_roundtrip():
         assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
     assert db_to_linear(0.0) == pytest.approx(1.0)
     assert db_to_linear(10.0) == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 10 ** 5 + 17, 2 ** 17 + 3])
+def test_cursor_after_equals_draw_and_discard(k, drawn):
+    # a second cursor k doubles ahead, from a stream that has drawn 0, 1 or
+    # 3 doubles (a Philox counter step holds four), equals drawing k doubles
+    # and discarding them; the first generator does not move
+    gen = make_stream(13, 7)
+    gen.random(drawn)
+    cursor = _cursor_after(gen, k)
+    ref = make_stream(13, 7)
+    ref.random(drawn + k)
+    np.testing.assert_array_equal(cursor.random(9), ref.random(9))
+    np.testing.assert_array_equal(gen.random(5), make_stream(13, 7).random(drawn + 5)[drawn:])

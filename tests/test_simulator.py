@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from harqlink.channel import ChannelConfig, FadingMode
 from harqlink.coding import CombiningType, McsTable, mutual_information, per
 from harqlink.harq_analysis import (HarqConfig, HarqVariant, fast_throughput,
                                     slow_cascades, slow_throughput)
-from harqlink.simulator import (_SLOW_CYCLES_PER_DRAW, PacketState, SimResult,
+from harqlink.simulator import (_CHUNK, _SLOW_CYCLES_PER_DRAW, PacketState, SimResult,
                                 simulate_packet_drop, simulate_plain, simulate_vl,
                                 vl_schedule, vl_update)
 
@@ -184,6 +185,37 @@ def test_plain_fast_results_are_pinned(combining, K, snr_db, seed, want):
                           10 ** 5 + 17, 3) == want
 
 
+@pytest.mark.parametrize("combining, K, snr_db, seed, blocks, want", [
+    (_RR, 1, -5.0, 40, 10 ** 5, SimResult(0.06029319763183594, 0.031179624435778232, 131072, 10537, 120535)),
+    (_RR, 1, 10.0, 41, 10 ** 5, SimResult(2.1761226654052734, 0.18456550535831726, 131072, 115749, 15323)),
+    (_RR, 2, -5.0, 42, 10 ** 5, SimResult(0.139491770138174, 0.04965622096106502, 251376, 39511, 91561)),
+    (_RR, 2, 10.0, 43, 10 ** 5, SimResult(2.0611636554957387, 0.2056578827939922, 154287, 123223, 7849)),
+    (_RR, 4, -5.0, 44, 10 ** 5, SimResult(0.19630175249886714, 0.035307777247912696, 413917, 70824, 60248)),
+    (_RR, 4, 10.0, 45, 10 ** 5, SimResult(2.089298773443388, 0.2340806638559979, 161836, 127728, 3344)),
+    (_IR, 1, -5.0, 46, 10 ** 5, SimResult(0.07106781005859375, 0.03822544639700372, 131072, 12420, 118652)),
+    (_IR, 1, 10.0, 47, 10 ** 5, SimResult(2.200990676879883, 0.16812936807116358, 131072, 114170, 16902)),
+    (_IR, 2, -5.0, 48, 10 ** 5, SimResult(0.14775445036395346, 0.049235626766587236, 251448, 42436, 88636)),
+    (_IR, 2, 10.0, 49, 10 ** 5, SimResult(2.0376154878917188, 0.21819287420318723, 153102, 126329, 4743)),
+    (_IR, 4, -5.0, 50, 10 ** 5, SimResult(0.19458693305323133, 0.03456900727323825, 413993, 74456, 56616)),
+    (_IR, 4, 10.0, 51, 10 ** 5, SimResult(2.1240742629614555, 0.19481737081837047, 151396, 128747, 2325)),
+    # several 256-draw steps
+    (_IR, 2, 10.0, 53, 5 * 10 ** 5, SimResult(2.1148986054926255, 0.09671648938728772, 601410, 500543, 23745)),
+])
+def test_plain_slow_results_are_pinned(combining, K, snr_db, seed, blocks, want):
+    # exact values of the slow-fading run-ratio engine as it stood when it
+    # drew each step's uniforms in one (256, 512) array
+    chan = _chan(10.0 ** (snr_db / 10.0), mode=FadingMode.SLOW, seed=seed)
+    assert simulate_plain(REGIONS, _harq(combining=combining, K=K), TABLE, chan,
+                          blocks, 3) == want
+
+
+def test_packet_drop_slow_result_is_pinned():
+    harq = _harq(K=3, variant=HarqVariant.PACKET_DROP)
+    chan = _chan(10.0 ** 0.6, mode=FadingMode.SLOW, seed=52)
+    assert simulate_packet_drop(REGIONS, harq, TABLE, chan, 10 ** 5, 3) == SimResult(
+        1.2966667838667134, 0.14170832937143044, 171714, 122877, 8195)
+
+
 def _packet_drop_pin_run(combining, K, snr_db, a_tilde, seed):
     table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
     harq = _harq(combining=combining, K=K, variant=HarqVariant.PACKET_DROP)
@@ -237,6 +269,8 @@ _BLOCK_LOOP_CASES = [
     (_RR, 6, -5.0, 4.0, 2 ** 17 + 2),   # a last chunk shorter than K - 1
     (_IR, 6, 8.0, 2.5, 2 ** 17 + 2),
     (_IR, 4, 12.0, _INF, 2 ** 17 + 1),
+    (_RR, 6, -5.0, 2.5, 7 * _CHUNK + 1),  # a last chunk of one block, K - 1 = 5
+    (_IR, 4, 0.0, _INF, 7 * _CHUNK + 3),  # uniforms start mid Philox counter step
 ]
 
 
@@ -422,6 +456,78 @@ def test_vl_results_are_pinned(harq, table, avg, seed, stream, want):
     # exact values from the block-by-block engine that scheduled every
     # block with vl_schedule and drew one uniform per call
     assert simulate_vl(harq, table, _chan(avg, seed=seed), 10 ** 5, stream) == want
+
+
+def _traced_peak(engine, *args) -> int:
+    """Peak bytes that numpy and Python allocate during one engine call."""
+    tracemalloc.start()
+    try:
+        engine(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("engine, variant, mode", [
+    (simulate_plain, HarqVariant.PLAIN, FadingMode.FAST),
+    (simulate_packet_drop, HarqVariant.PACKET_DROP, FadingMode.FAST),
+    (simulate_plain, HarqVariant.PLAIN, FadingMode.SLOW),
+], ids=["plain-fast", "drop-fast", "plain-slow"])
+def test_engine_memory_does_not_grow_with_blocks(engine, variant, mode):
+    # the draws and passes work one chunk at a time (slow fading: one row
+    # block of SNR draws), so a run four times as long peaks no higher
+    args = (REGIONS, _harq(variant=variant), TABLE, _chan(10.0, mode=mode, seed=3))
+    engine(*args, 10 ** 5)  # caches filled outside the trace
+    peaks = [_traced_peak(engine, *args, blocks) for blocks in (10 ** 5, 4 * 10 ** 5)]
+    assert abs(peaks[1] - peaks[0]) <= 0.5 * 2 ** 20, peaks
+
+
+class _DrawRecorder:
+    """A generator that records the size of every `random` draw."""
+
+    def __init__(self, gen, sizes: list):
+        self.gen, self.sizes = gen, sizes
+
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.gen.random(size)
+
+
+def _record_draws(monkeypatch) -> tuple[list, list]:
+    """Sizes of the engines' SNR-stream and uniform-cursor draws."""
+    from harqlink import channel, simulator
+    snr_sizes, u_sizes = [], []
+    monkeypatch.setattr(simulator, "make_stream",
+                        lambda *a: _DrawRecorder(channel.make_stream(*a), snr_sizes))
+    monkeypatch.setattr(simulator, "_cursor_after",
+                        lambda gen, k: _DrawRecorder(channel._cursor_after(gen, k), u_sizes))
+    return snr_sizes, u_sizes
+
+
+@pytest.mark.parametrize("variant", [HarqVariant.PLAIN, HarqVariant.PACKET_DROP])
+def test_cycle_draws_are_chunk_sized(monkeypatch, variant):
+    snr_sizes, u_sizes = _record_draws(monkeypatch)
+    K, blocks = 4, 4 * 10 ** 5 + 3
+    engine = simulate_plain if variant is HarqVariant.PLAIN else simulate_packet_drop
+    engine(REGIONS, _harq(K=K, variant=variant), TABLE, _chan(10.0, seed=3), blocks)
+    assert max(snr_sizes + u_sizes) <= _CHUNK + K - 1
+    assert sum(snr_sizes) == sum(u_sizes) == blocks
+
+
+def test_vl_draws_are_chunk_sized(monkeypatch):
+    # a chunk of blocks draws its SNRs at once; the uniforms are drawn a
+    # chunk ahead of the packets that read them, at most every fresh packet
+    # of a chunk of blocks plus one chunk
+    from harqlink.simulator import _VL_CHUNK, _vl_context
+    snr_sizes, u_sizes = _record_draws(monkeypatch)
+    simulate_vl(VL_HARQ, VL_TABLE, _chan(100.0, seed=3), 10 ** 5 + 3)
+    most_packets = int(_vl_context(VL_HARQ, VL_TABLE).fresh_sets[2].max())
+    assert max(snr_sizes) <= _VL_CHUNK and sum(snr_sizes) == 10 ** 5 + 3
+    assert max(u_sizes) <= (most_packets + 1) * _VL_CHUNK
 
 
 def _fresh_choice_switches(ctx, grid):
