@@ -443,6 +443,10 @@ VL_STEP_TABLE = McsTable(rates=(0.75, 1.5, 3.0), a_tilde=math.inf)
 @pytest.mark.parametrize("harq, table, avg, seed, stream, want", [
     (DEFAULT_VL_HARQ, TABLE, 10.0 ** 2.0, 10, 6,
      SimResult(3.4749225, 0.006262102578126587, 10 ** 5, 463323, 0)),
+    (DEFAULT_VL_HARQ, TABLE, 10.0, 10, 6,
+     SimResult(2.098695, 0.009540433182310041, 10 ** 5, 279826, 0)),
+    (DEFAULT_VL_HARQ, TABLE, 1.0, 10, 6,
+     SimResult(0.43497, 0.004386862983583449, 10 ** 5, 57996, 5)),
     (VL_HARQ, VL_TABLE, 10.0, 1, 0,
      SimResult(1.87611, 0.009789120731397555, 10 ** 5, 250148, 0)),
     (VL_HARQ, VL_TABLE, 1.0, 3, 0,
@@ -451,7 +455,8 @@ VL_STEP_TABLE = McsTable(rates=(0.75, 1.5, 3.0), a_tilde=math.inf)
      SimResult(2.06709, 0.009320295743971963, 10 ** 5, 275612, 0)),
     (VL_ONE_ROUND, VL_TABLE, 10.0 ** 0.5, 4, 0,
      SimResult(0.94272, 0.006021176532600146, 10 ** 5, 125696, 13085)),
-], ids=["default-20db", "vl-10db", "vl-0db-drops", "vl-step-decoding", "vl-one-round"])
+], ids=["default-20db", "default-10db", "default-0db", "vl-10db", "vl-0db-drops",
+        "vl-step-decoding", "vl-one-round"])
 def test_vl_results_are_pinned(harq, table, avg, seed, stream, want):
     # exact values from the block-by-block engine that scheduled every
     # block with vl_schedule and drew one uniform per call
