@@ -12,8 +12,7 @@ from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
                             fast_throughput, slow_cascades, slow_throughput,
                             slow_throughput_at, two_round_bound)
 from .optimizer import (DinkelbachState, FastOptimizeResult,
-                        GridResolutionError, fast_optimize_regions,
-                        slow_optimal_regions)
+                        fast_optimize_regions, slow_optimal_regions)
 from .simulator import (SimResult, simulate_packet_drop, simulate_plain,
                         simulate_vl, vl_schedule, vl_update)
 

@@ -27,10 +27,6 @@ from .harq_analysis import FastFadingTables, slow_throughput_at
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class GridResolutionError(RuntimeError):
-    """Raised when the argmax scan cannot resolve a region boundary."""
-
-
 @dataclass(frozen=True)
 class DinkelbachState:
     """One outer iteration: lam, the grid maximizer gamma of
@@ -65,7 +61,7 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable) -> D
     the first float at which the winner differs from the cell's left end.
     Argmax ties go to the larger rate; SNRs where every rate has zero
     throughput are assigned to rate 1 (the choice there carries no
-    throughput).
+    throughput).  A rate that wins at no grid point is not found.
     """
     def winners(grid):
         eta = slow_throughput_at(grid, K, combining, table)  # (n, L)
@@ -75,20 +71,7 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable) -> D
 
     grid = np.logspace(-3.0, 4.5, 3000)
     w = winners(grid)
-    for attempt in range(3):
-        cuts = np.flatnonzero(np.diff(w))  # last index of every run but the final one
-        ends = np.append(cuts, w.size - 1)
-        single = ends[np.diff(ends, prepend=-1) == 1]  # runs of length one
-        if not single.size:
-            break
-        if attempt == 2:
-            raise GridResolutionError("argmax runs remain single-point after refinement")
-        # single-point runs: densify locally and rescan
-        inner = single[(single > 0) & (single < grid.size - 1)]
-        grid = np.unique(np.concatenate(
-            [grid] + [np.linspace(grid[i - 1], grid[i + 1], 20) for i in inner]))
-        w = winners(grid)
-
+    cuts = np.flatnonzero(np.diff(w))  # last index of every run but the final one
     # one interval per run, each boundary the first float where the winner changes
     labels = w[np.append(0, cuts + 1)]
     bounds = first_float_where(lambda x: winners(x) != w[cuts], grid[cuts], grid[cuts + 1])

@@ -20,15 +20,15 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import accumulate, product
 
 import numpy as np
 
 from .amc import DecisionRegions, classify
 from .channel import (ChannelConfig, FadingMode, _cursor_after, draw_exponential,
                       make_stream)
-from .coding import (CombiningType, McsTable, mutual_information,
+from .coding import (_LN2, CombiningType, McsTable, mutual_information,
                      mutual_information_inv, per_at)
 from .harq_analysis import HarqConfig, HarqVariant, slow_cascades
 
@@ -299,30 +299,34 @@ class _VlContext:
         counts_m = counts_m[counts_m @ cost <= self.unit]
         costs_m, npkts_m = counts_m @ cost, counts_m.sum(axis=1)
         self.fresh_sets = (counts_m, costs_m, npkts_m)
+        self.fresh_counts = counts_m.astype(float)  # the products are counts_m's, bit for bit
         self.fresh_lengths = [tuple(sorted(length for length, n in zip(self.primary, c)
                                            for _ in range(n))) for c in counts_m]
-        # tie-break rank: fewer packets, then the lexicographically smallest
-        # sorted length list
+        # tie-break rank: fewer packets, then the smallest sorted length list
         order = sorted(range(len(counts_m)), key=lambda j: (npkts_m[j], self.fresh_lengths[j]))
-        self.fresh_rank = np.empty(len(order), dtype=np.intp)
-        self.fresh_rank[order] = np.arange(len(order))
+        self.fresh_rank = np.argsort(order)
+        self.fit = np.array([j for j in order if npkts_m[j] <= self.buffer_cap])  # by rank
         self.primary_th = [table.thresholds[self.len_to_l[length] - 1] for length in self.primary]
-        self.primary_thresholds = np.array(self.primary_th)
-        self.full_mask = npkts_m <= self.buffer_cap  # every multiset fits the budget
-        # the capacity left moves the best fresh multiset only at the
-        # distinct multiset costs, its levels; per count of free buffer
-        # slots, the multisets of each level that fit them
-        self.cost_levels = sorted(set(costs_m.tolist()))
-        level_masks = costs_m <= np.array(self.cost_levels)[:, None]
-        self.slot_masks = [level_masks & (npkts_m <= slots) for slots in range(self.buffer_cap + 1)]
-        self.retx_options = [(length, self.units[length]) for length in self.retx_lengths]
-        self.retx_index = {length: k for k, length in enumerate(self.retx_lengths)}
+        # the best fresh multiset moves only at the multiset costs, its levels.
+        # Per count of free slots, the multisets that fit them by cost, with
+        # each level's last (for prefix maxima), and per level by rank
+        levels = sorted(set(costs_m.tolist()))
+        self.level_at = [bisect_right(levels, c) - 1 for c in range(self.unit + 1)]
+        self.npkts, self.by_cost, self.level_end, self.by_rank = npkts_m.tolist(), [], [], []
+        for slots in range(max(self.npkts) + 1):
+            fit = [j for j in order if self.npkts[j] <= slots]
+            self.by_cost.append(np.array(sorted(fit, key=lambda j: costs_m[j]), dtype=np.intp))
+            self.level_end.append(np.searchsorted(costs_m[self.by_cost[-1]], levels, "right") - 1)
+            self.by_rank.append([[j for j in fit if costs_m[j] <= level] for level in levels])
+        # (length, units, scheduled): not sending a pending packet, then each length
+        self.retx_options = [(0.0, 0, 0)] + [(x, self.units[x], 1) for x in self.retx_lengths]
+        self.ratios = {first: [x / first for x in self.retx_lengths] for first in self.primary}
         # the per_rows column of each primary length and, per multiset, of
         # each of its packets in the order of fresh_lengths, padded with 0
-        self.primary_col = {length: c for c, length in enumerate(self.primary)}
+        col = {length: c for c, length in enumerate(self.primary)}
         self.fresh_cols = np.zeros((len(counts_m), max(npkts_m.max(), 1)), dtype=np.intp)
         for j, lengths in enumerate(self.fresh_lengths):
-            self.fresh_cols[j, :len(lengths)] = [self.primary_col[length] for length in lengths]
+            self.fresh_cols[j, :len(lengths)] = [col[length] for length in lengths]
 
     def best_fresh(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Index of the best fresh multiset along the last axis of values
@@ -332,13 +336,28 @@ class _VlContext:
         ranks = np.where(vals >= top - 1e-12, self.fresh_rank, len(self.fresh_rank))
         return ranks.argmin(axis=-1)
 
+    def fresh_levels(self, fresh_values: np.ndarray, slots: int) -> tuple:
+        """Per level, the maximum value of the multisets that fit `slots` free
+        slots (a prefix maximum by cost), and best(level): the first of them
+        in rank order within 1e-12 of it, solved once."""
+        slots = min(slots, len(self.by_cost) - 1)
+        bound = np.maximum.accumulate(fresh_values[self.by_cost[slots]])[self.level_end[slots]]
+        vals, bound, by_rank, found = fresh_values.tolist(), bound.tolist(), self.by_rank[slots], {}
+
+        def best(level: int) -> int:
+            if level not in found:
+                cut = bound[level] - 1e-12
+                found[level] = next(j for j in by_rank[level] if vals[j] >= cut)
+            return found[level]
+        return vals, bound, best
+
     def fresh_chunk(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-block PERs of the primary lengths, shape (blocks, primaries),
         and each block's best fresh multiset under the full block budget
-        and buffer capacity."""
-        per_rows = per_at(gammas[:, None], self.primary_thresholds, self.table.a_tilde)
-        values = (1.0 - per_rows) @ self.fresh_sets[0].T
-        return per_rows, self.best_fresh(values, self.full_mask)
+        and buffer capacity (`best_fresh`, on its values by rank)."""
+        per_rows = per_at(gammas[:, None], np.array(self.primary_th), self.table.a_tilde)
+        values = self.fresh_counts[self.fit] @ (1.0 - per_rows).T
+        return per_rows, self.fit[(values >= values.max(axis=0) - 1e-12).argmax(axis=0)]
 
 
 @lru_cache(maxsize=8)
@@ -355,170 +374,166 @@ def _vl_aggregate(snr_sigma: float, length: float, first_len: float, gamma: floa
         mutual_information(snr_sigma) + (length / first_len) * mutual_information(gamma))
 
 
-def _vl_retx(buffer: list[PacketState], gamma: float, ctx: _VlContext) -> list:
-    """Per buffer entry, None for a fresh packet; for a pending one, the
-    aggregate SNR after a retransmission with each of ctx.retx_lengths at
-    SNR gamma (as `_vl_aggregate` folds it) and the conditional failure
-    probability f = PER(aggregate) / PER(now) of each, all 0 when the packet
-    cannot fail.  MI(gamma) is taken once, MI(sigma) once per packet."""
-    a_tilde, mi_gamma = ctx.table.a_tilde, mutual_information(gamma)
+class _Pending:
+    """A pending packet with what changes only when a round is folded in:
+    its threshold, MI and PER at its aggregate SNR, and length ratios."""
 
-    def options(pkt: PacketState) -> tuple[list[float], list[float]]:
-        th = ctx.table.thresholds[ctx.len_to_l[pkt.first_len] - 1]
-        mi_sigma = mutual_information(pkt.snr_sigma)
-        aggs = [mutual_information_inv(mi_sigma + (length / pkt.first_len) * mi_gamma)
-                for length in ctx.retx_lengths]
-        p_now = per_at(pkt.snr_sigma, th, a_tilde)
-        if p_now <= 0.0:
-            return aggs, [0.0] * len(aggs)
-        return aggs, [per_at(x, th, a_tilde) / p_now for x in aggs]
+    def __init__(self, ctx: _VlContext, harq_count: int, first_len: float, snr_sigma: float):
+        self.harq_count, self.first_len, self.snr_sigma = harq_count, first_len, snr_sigma
+        self.th = ctx.table.thresholds[ctx.len_to_l[first_len] - 1]
+        self.mi, self.ratios = mutual_information(snr_sigma), ctx.ratios[first_len]
+        self.p_now = per_at(snr_sigma, self.th, ctx.table.a_tilde)
 
-    return [None if pkt.harq_count == 0 else options(pkt) for pkt in buffer]
+    def options(self, mi_gamma: float, a_tilde: float) -> tuple[list[float], list[float]]:
+        """Per ctx.retx_lengths, the aggregate SNR after a round at MI(gamma) =
+        mi_gamma and f = PER(aggregate) / PER(now), 0 if the packet cannot
+        fail, by the scalar paths' arithmetic (`_vl_aggregate`, per_at)."""
+        mi, th, p_now = self.mi, self.th, self.p_now
+        try:
+            aggs = [math.expm1((mi + r * mi_gamma) * _LN2) for r in self.ratios]
+        except OverflowError:
+            aggs = [mutual_information_inv(mi + r * mi_gamma) for r in self.ratios]
+        step = math.isinf(a_tilde)
+        return aggs, [0.0] * len(aggs) if p_now <= 0.0 else [
+            (1.0 if x < th else 0.0 if step else math.exp(-a_tilde * (x / th - 1.0))) / p_now
+            for x in aggs]
+
+
+def _vl_slots(positions: list[int], lens: list[float], fresh_lens, size: int) -> list:
+    """(slot, pending index or None, length), in buffer order, of the pending
+    packets at `positions` with `lens` (0: unscheduled) and of the fresh
+    packets of `fresh_lens`, which take the last free slots, in order."""
+    out, k, x = [], len(positions) - 1, size - 1
+    for length in reversed(fresh_lens):
+        while k >= 0 and positions[k] == x:
+            out.append((x, k, lens[k]))
+            k, x = k - 1, x - 1
+        out.append((x, None, length))
+        x -= 1
+    return [(positions[i], i, lens[i]) for i in range(k + 1)] + out[::-1]
+
+
+def _vl_vector(positions: list[int], lens: list[float], fresh_lens, size: int) -> list[float]:
+    """The length of every slot of the buffer under a schedule."""
+    vector = [0.0] * size
+    for x, _, length in _vl_slots(positions, lens, fresh_lens, size):
+        vector[x] = length
+    return vector
+
+
+def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], size: int,
+               gamma: float) -> tuple[list[float], int]:
+    """The schedule (a length per pending packet, 0 unscheduled, and a fresh
+    multiset) of `size` slots with pending packets at `positions`, given f
+    per ctx.retx_lengths: branch and bound over the pending packets, the
+    fresh ones in the best multiset that fits what is left, solved only
+    where a leaf could win (`fresh_levels`)."""
+    a_tilde, step = ctx.table.a_tilde, math.isinf(ctx.table.a_tilde)
+    succ = [1.0 - (1.0 if gamma < th else 0.0 if step else math.exp(-a_tilde * (gamma / th - 1.0)))
+            for th in ctx.primary_th]
+    vals, bound, fresh = ctx.fresh_levels(ctx.fresh_counts.dot(succ), size - len(positions))
+    npkts, level_at, options = ctx.npkts, ctx.level_at, ctx.retx_options
+    # a packet's value is 1 - f; not sending it adds 0.0, which leaves every sum as it was
+    values = [[0.0] + [1.0 - f for f in row] for row in fails]
+    n, suffix_best = len(values), list(accumulate([max(v) for v in values[::-1]], initial=0.0))[::-1]
+    top = [(math.inf, 0), None, None, None]  # [(-total, scheduled), lengths, multiset, vector]
+
+    def dfs(i: int, nf_lengths: list[float], cap_units: int, value: float, scheduled: int):
+        nonlocal top
+        if value + suffix_best[i] + bound[level_at[cap_units]] < -top[0][0] - 1e-12:
+            return
+        if i < n - 1:
+            for (length, units, s), val in zip(options, values[i]):
+                if units <= cap_units:
+                    dfs(i + 1, nf_lengths + [length], cap_units - units, value + val,
+                        scheduled + s)
+            return
+        # the leaves: a leaf's total is at most its value with the level's
+        # maximum, so only a leaf that may not lose solves its level
+        for (length, units, s), val in zip(options, values[i]):
+            if units > cap_units:
+                continue
+            level, v = level_at[cap_units - units], value + val
+            if v + bound[level] < -top[0][0]:
+                continue
+            j = fresh(level)
+            key, vector = (-(v + vals[j]), scheduled + s + npkts[j]), None
+            if key > top[0]:
+                continue
+            if key == top[0]:  # the smaller vector wins (one multiset: the pending part)
+                if j == top[2] and nf_lengths + [length] >= top[1]:
+                    continue
+                if j != top[2]:
+                    top[3] = top[3] or _vl_vector(positions, top[1], ctx.fresh_lengths[top[2]], size)
+                    vector = _vl_vector(positions, nf_lengths + [length], ctx.fresh_lengths[j], size)
+                    if vector >= top[3]:
+                        continue
+            top = [key, nf_lengths + [length], j, vector]
+
+    if not n:
+        return [], int(ctx.best_fresh(np.array(vals), ctx.fresh_sets[2] <= size))
+    dfs(0, [], ctx.unit, 0.0, 0)
+    return top[1], top[2]
 
 
 def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
                 table: McsTable, ctx: _VlContext | None = None,
-                retx: list | None = None) -> list[float]:
+                retx=None) -> list[float]:
     """Length assignment maximizing the expected number of decoded packets
-    this block, subject to the unit block budget.
-
-    Exhaustive over retransmission candidates (branch and bound keeps it
-    exact); interchangeable fresh packets are covered by enumerating all
-    feasible fresh multisets.  Ties prefer fewer scheduled packets, then
-    the lexicographically smallest assignment vector.  `retx` is
-    `_vl_retx(buffer, gamma, ctx)`, when the caller has it already.
-    """
-    if ctx is None:
-        ctx = _vl_context(harq, table)
+    this block within the unit budget, exhaustive over the pending packets
+    (`_vl_search`) with the fresh ones in the best feasible multiset.  Ties
+    prefer fewer scheduled packets, then the smallest assignment vector.
+    `retx` may map each pending packet's slot to its `_Pending.options`."""
+    ctx = ctx or _vl_context(harq, table)
     if len(buffer) > ctx.buffer_cap:
         raise ValueError("buffer exceeds its capacity")
+    positions = [x for x, pkt in enumerate(buffer) if pkt.harq_count]
     if retx is None:
-        retx = _vl_retx(buffer, gamma, ctx)
-    pending = [i for i, r in enumerate(retx) if r is not None]
-    fresh_idx = [i for i, r in enumerate(retx) if r is None]
-
-    a_tilde = ctx.table.a_tilde
-    succ = np.array([1.0 - per_at(gamma, th, a_tilde) for th in ctx.primary_th])
-    counts_m, _, npkts_m = ctx.fresh_sets
-    fresh_values = counts_m @ succ
-    # the best fresh multiset is a step function of the capacity left: it
-    # changes only at the distinct multiset costs, so solve each level once
-    best = ctx.best_fresh(fresh_values, ctx.slot_masks[len(fresh_idx)])
-    level_best, level_value = best.tolist(), fresh_values[best].tolist()
-    level_count = npkts_m[best].tolist()
-    levels = ctx.cost_levels
-
-    # per pending packet, the value 1 - f of each retransmission length
-    values = [[1.0 - f for f in retx[i][1]] for i in pending]
-    n = len(values)
-    suffix_best = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_best[i] = suffix_best[i + 1] + max(values[i])
-    options = ctx.retx_options
-
-    def assignment(nf_lengths, level: int) -> list[float]:
-        assign = [0.0] * len(buffer)
-        for idx, length in zip(pending, nf_lengths):
-            assign[idx] = length
-        fresh_lens = ctx.fresh_lengths[level_best[level]]
-        for idx, length in zip(fresh_idx[len(fresh_idx) - len(fresh_lens):], fresh_lens):
-            assign[idx] = length
-        return assign
-
-    # the best leaf so far: (-total, scheduled, pending packets' lengths,
-    # fresh level).  An exact tie of the first two goes to the smaller
-    # assignment vector; when both leaves take the same fresh multiset the
-    # vectors differ only at the pending packets, in buffer order, so only
-    # other ties build them
-    top = None
-
-    def leaf(nf_lengths, level: int, total: float, scheduled: int):
-        """Keep a leaf whose total does not lose if it beats the best."""
-        nonlocal top
-        if top is not None:
-            key = (-total, scheduled)
-            if key > top[:2]:
-                return
-            if key == top[:2]:
-                if level_best[level] == level_best[top[3]]:
-                    if nf_lengths >= top[2]:
-                        return
-                elif assignment(nf_lengths, level) >= assignment(top[2], top[3]):
-                    return
-        top = (-total, scheduled, nf_lengths, level)
-
-    def dfs(i: int, nf_lengths: list[float], cap_units: int, value: float, scheduled: int):
-        if top is not None:
-            bound = value + suffix_best[i] + level_value[bisect_right(levels, cap_units) - 1]
-            if bound < -top[0] - 1e-12:
-                return
-        if i < n - 1:
-            dfs(i + 1, nf_lengths + [0.0], cap_units, value, scheduled)  # unscheduled
-            for (length, units), val in zip(options, values[i]):
-                if units <= cap_units:
-                    dfs(i + 1, nf_lengths + [length], cap_units - units, value + val,
-                        scheduled + 1)
-            return
-        # the last pending packet, in one flat loop: a leaf's bound is its
-        # total, so a leaf goes on only if its total does not lose
-        level = bisect_right(levels, cap_units) - 1
-        total = value + level_value[level]
-        if top is None or total >= -top[0]:
-            leaf(nf_lengths + [0.0], level, total, scheduled + level_count[level])
-        for (length, units), val in zip(options, values[i]):
-            if units <= cap_units:
-                level = bisect_right(levels, cap_units - units) - 1
-                total = value + val + level_value[level]
-                if top is None or total >= -top[0]:
-                    leaf(nf_lengths + [length], level, total, scheduled + 1 + level_count[level])
-
-    if n:
-        dfs(0, [], ctx.unit, 0.0, 0)
-    else:
-        level = bisect_right(levels, ctx.unit) - 1
-        leaf([], level, level_value[level], level_count[level])
-    best_assign = assignment(top[2], top[3])
+        retx = {x: _Pending(ctx, buffer[x].harq_count, buffer[x].first_len, buffer[x].snr_sigma)
+                .options(mutual_information(gamma), table.a_tilde) for x in positions}
+    lens, j = _vl_search(ctx, [retx[x][1] for x in positions], positions, len(buffer), gamma)
+    best_assign = _vl_vector(positions, lens, ctx.fresh_lengths[j], len(buffer))
     assert sum(best_assign) <= 1.0 + 1e-9
     return best_assign
+
+
+def _vl_commit(entries: list, gamma: float, max_rounds: int, make) -> tuple:
+    """Apply outcomes to `entries`, (slot, packet or None if fresh, length,
+    ack, aggregate SNR after the round or None) in buffer order: ACK removes
+    a packet, NACK folds the round in (make(harq_count, first_len, snr_sigma))
+    or drops it.  Returns the kept packets' slots, moved up, the packets, acked, drops."""
+    kept, acked, drops = [], 0, 0
+    for x, pkt, length, ack, fold in entries:
+        if length == 0.0:
+            kept.append((x - acked - drops, pkt))
+        elif ack:
+            acked += 1
+        elif (count := pkt.harq_count if pkt else 0) < max_rounds - 1:
+            first_len = pkt.first_len if pkt else length
+            if fold is None:
+                fold = _vl_aggregate(pkt.snr_sigma if pkt else 0.0, length, first_len, gamma)
+            kept.append((x - acked - drops, make(count + 1, first_len, fold)))
+        else:
+            drops += 1
+    return [x for x, _ in kept], [pkt for _, pkt in kept], acked, drops
 
 
 def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
               outcomes: list[bool], harq: HarqConfig,
               folded: list[float | None] | None = None) -> tuple[list[PacketState], int, int]:
-    """Apply per-packet ACK/NACK outcomes; returns (new buffer, acked, drops).
-
-    ACK removes the packet; NACK folds the round into the aggregate SNR
-    and increments the round counter, discarding the packet once the round
-    budget is spent.  The buffer is topped up with fresh packets, to
-    max_rounds packets per primary length.  `folded` holds, per entry, the
-    aggregate SNR after this round where the caller has it already (None
-    elsewhere).
-    """
+    """Apply per-packet ACK/NACK outcomes (`_vl_commit`, with `folded` its
+    folds or None) and top the buffer up with fresh packets, to max_rounds
+    per primary length; returns (new buffer, acked, drops)."""
     if not (len(assignment) == len(outcomes) == len(buffer)):
         raise ValueError("assignment/outcomes must align with the buffer")
-    acked = 0
-    drops = 0
-    new_buffer: list[PacketState] = []
-    for pkt, length, ack, snr_prime in zip(buffer, assignment, outcomes,
-                                           folded or [None] * len(buffer)):
-        if length == 0.0:
-            new_buffer.append(pkt)
-            continue
-        if ack:
-            acked += 1
-            continue
-        if pkt.harq_count < harq.max_rounds - 1:
-            first_len = pkt.first_len if pkt.harq_count > 0 else length
-            if snr_prime is None:
-                snr_prime = _vl_aggregate(pkt.snr_sigma, length, first_len, gamma)
-            new_buffer.append(PacketState(harq_count=pkt.harq_count + 1,
-                                          first_len=first_len,
-                                          snr_sigma=snr_prime))
-        else:
-            drops += 1
+    slots, pend, acked, drops = _vl_commit(
+        [(x, pkt if pkt.harq_count else None, length, ack, fold)
+         for x, (pkt, length, ack, fold) in enumerate(zip(buffer, assignment, outcomes,
+                                                          folded or [None] * len(buffer)))
+         if pkt.harq_count or length], gamma, harq.max_rounds, PacketState)
+    kept = dict(zip(slots, pend))
     cap = harq.max_rounds * len(harq.lengths_primary)
-    new_buffer += [PacketState() for _ in range(cap - len(new_buffer))]
-    return new_buffer, acked, drops
+    return [kept.get(x) or PacketState() for x in range(cap)], acked, drops
 
 
 _VL_CHUNK = 1024
@@ -530,23 +545,19 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     ACKed packet per block.
 
     RNG contract: all block SNRs are drawn first, then one uniform per
-    scheduled packet, in buffer order, from the same stream.  The values
-    are those of that order, but both are drawn through two cursors: the
-    SNRs one chunk of blocks at a time, and the uniforms, from a cursor
-    `blocks` draws ahead, into an array as needed; reading them from it
-    yields the same values as one draw per packet.  A block whose buffer
-    holds only fresh packets skips `vl_schedule`: with no retransmission
-    candidates the schedule is the best fresh multiset under the full
-    budget, which is precomputed for blocks in chunks.  A run of such
-    blocks reads its uniforms at offsets that are a cumsum of the
-    multisets' packet counts, so one compare of the run's uniforms against
-    its packets' PERs finds the first NACK.  The blocks before it ACK every packet and are
-    committed at once; the NACK block goes through `vl_update`, and each
-    block after it that holds pending packets through `vl_schedule` and
-    `vl_update`.  The precomputation runs on `per_at`'s array path, which
-    can differ from `vl_schedule`'s scalar path in the last bit, so the two
-    choices agree unless two fresh multisets' values fall within an ulp of
-    the 1e-12 tie margin of each other.
+    scheduled packet, in buffer order, from the same stream.  Both are
+    drawn through two cursors, which yields the same values: the SNRs a
+    chunk of blocks at a time, the uniforms from a cursor `blocks` draws
+    ahead, into an array as needed.
+
+    The state is the pending packets (`_Pending`s) and their slots; other
+    slots hold interchangeable fresh packets.  With none pending, a block
+    takes the best fresh multiset, precomputed per chunk on `per_at`'s array
+    path (the choice agrees with the scheduler's scalar path unless two
+    multisets' values fall within an ulp of the 1e-12 tie margin), so a run
+    of such blocks reads its uniforms at a cumsum of their packet counts up
+    to the first NACK.  That block, and each block with pending packets
+    (`_vl_search`), update them (`_vl_commit`).
     """
     if channel.fading_mode is not FadingMode.FAST:
         raise ValueError("variable-length HARQ is simulated for fast fading only")
@@ -565,15 +576,8 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
             u, upos = np.concatenate((u[upos:], ugen.random(m + _VL_CHUNK))), 0
         return u[upos:upos + m]
 
-    r1 = table.rates[0]
-    npkts_m = ctx.fresh_sets[2]
-    fresh_buffer = [PacketState() for _ in range(ctx.buffer_cap)]
-    # per fresh multiset: its full-buffer assignment, as vl_schedule pads it
-    fresh_assign = [[0.0] * (ctx.buffer_cap - len(lengths)) + list(lengths)
-                    for lengths in ctx.fresh_lengths]
-
-    buffer = None  # None: every packet in the buffer is fresh
-    drops = 0
+    r1, size, npkts_m = table.rates[0], ctx.buffer_cap, ctx.fresh_sets[2]
+    positions, pend, drops = [], [], 0  # the pending packets (none: all fresh) and their slots
     batch_acked = np.zeros(_N_BATCHES, dtype=np.int64)
     batch_size = blocks // _N_BATCHES
 
@@ -591,46 +595,42 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
         acked = np.zeros(n, dtype=np.int64)  # per block of the chunk
         b = 0
         while b < n:
-            if buffer is None:
-                # all fresh from block b: the run's packets read the next
-                # uniforms in order, and the first NACK ends the run
-                lo = first[b]
-                run = first[n] - lo
-                nack = ahead(run) < fresh_pers[lo:]
-                k = int(nack.argmax()) if run else 0
-                stop = int(owner[lo + k]) if run and nack[k] else n
+            if not pend:
+                # all fresh from block b: the run's packets read the next uniforms in
+                # order up to the first NACK, sought in windows growing eightfold
+                lo, w, nack = first[b], 0, np.zeros(0, dtype=bool)
+                while w < first[n] - lo and not nack.any():
+                    w = first[owner[min(lo + 8 * w + 256, first[n]) - 1] + 1] - lo
+                    nack = ahead(w) < fresh_pers[lo:lo + w]
+                k = int(nack.argmax()) if w else 0
+                stop = int(owner[lo + k]) if w and nack[k] else n
                 acked[b:stop] = counts[b:stop]
                 if stop == n:
-                    upos += run
+                    upos += w
                     break
-                # the NACK block, whose schedule is the precomputed choice
-                b = stop
-                oks = (~nack[first[b] - lo:first[b + 1] - lo]).tolist()
-                upos += first[b + 1] - lo
-                outcomes = [False] * (ctx.buffer_cap - len(oks)) + oks
-                buffer, n_acked, dropped = vl_update(fresh_buffer, fresh_assign[choice[b]],
-                                                     g_list[b], outcomes, harq)
+                b = stop  # the NACK block: its multiset takes the last slots
+                oks, upos = (~nack[first[b] - lo:first[b + 1] - lo]).tolist(), upos + first[b + 1] - lo
+                entries = [(size - len(oks) + t, None, length, ok, None)
+                           for t, (length, ok) in enumerate(zip(ctx.fresh_lengths[choice[b]], oks))]
             else:
-                g = g_list[b]
-                retx = _vl_retx(buffer, g, ctx)
-                assign = vl_schedule(buffer, g, harq, table, ctx, retx)
-                scheduled = [i for i, length in enumerate(assign) if length != 0.0]
-                fresh_per = per_rows[b].tolist()
-                outcomes, folded = [False] * len(assign), [None] * len(assign)
-                for i, v in zip(scheduled, ahead(len(scheduled)).tolist()):
-                    length, r = assign[i], retx[i]
-                    if r is None:
-                        f = fresh_per[ctx.primary_col[length]]
+                mi_gamma = mutual_information(g_list[b])
+                opts = [pkt.options(mi_gamma, table.a_tilde) for pkt in pend]
+                lens, j = _vl_search(ctx, [fails for _, fails in opts], positions, size, g_list[b])
+                fresh_lens = ctx.fresh_lengths[j]
+                fresh_per = dict(zip(ctx.primary, per_rows[b].tolist()))
+                scheduled = len(fresh_lens) + len(lens) - lens.count(0.0)
+                us, entries, upos = iter(ahead(scheduled).tolist()), [], upos + scheduled
+                for x, i, length in _vl_slots(positions, lens, fresh_lens, size):
+                    if length == 0.0:
+                        entries.append((x, pend[i], 0.0, False, None))
+                    elif i is None:
+                        entries.append((x, None, length, next(us) >= fresh_per[length], None))
                     else:  # the scheduler's failure probability and fold
-                        k = ctx.retx_index[length]
-                        f, folded[i] = r[1][k], r[0][k]
-                    outcomes[i] = v >= f
-                upos += len(scheduled)
-                buffer, n_acked, dropped = vl_update(buffer, assign, g, outcomes, harq, folded)
+                        (aggs, fails), k = opts[i], ctx.retx_lengths.index(length)
+                        entries.append((x, pend[i], length, next(us) >= fails[k], aggs[k]))
+            positions, pend, acked[b], dropped = _vl_commit(entries, g_list[b], harq.max_rounds,
+                                                            partial(_Pending, ctx))
             drops += dropped
-            if not any([pkt.harq_count for pkt in buffer]):
-                buffer = None
-            acked[b] = n_acked
             b += 1
         # the last batch takes the remainder of the blocks
         np.add.at(batch_acked, np.minimum((start + np.arange(n)) // batch_size, _N_BATCHES - 1),

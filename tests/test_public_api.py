@@ -25,7 +25,6 @@ ALLOWED = {
     "DinkelbachState": "one outer Dinkelbach iteration, the items of FastOptimizeResult.iterations",
     "FastOptimizeResult": "return type of fast_optimize_regions",
     "SimResult": "return type of the simulate_* engines",
-    "GridResolutionError": "raised by slow_optimal_regions for callers to catch",
     "vl_schedule": "length assignment of one variable-length block",
     "vl_update": "buffer update of one variable-length block",
 }

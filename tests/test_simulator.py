@@ -592,6 +592,47 @@ def test_best_fresh_tie_rule():
     assert ctx.fresh_lengths[ctx.best_fresh(values, half & (npkts_m <= 1))] == (0.25,)
 
 
+def _oracle_levels(ctx, values, slots):
+    """The rule fresh_levels replaces: per cost level, best_fresh over the
+    multisets with cost <= level and npkts <= slots, and their maximum."""
+    _, costs_m, npkts_m = ctx.fresh_sets
+    levels = np.array(sorted(set(costs_m.tolist())))
+    masks = (costs_m <= levels[:, None]) & (npkts_m <= slots)
+    return ctx.best_fresh(values, masks).tolist(), np.where(masks, values, -1.0).max(axis=1).tolist()
+
+
+def _level_cases(ctx, rng):
+    """Random values, values of success probabilities (exact ties when they
+    are 0 or 1), and near-ties: values at, and one ulp on either side of,
+    1e-12 below another multiset's value."""
+    m, k = len(ctx.fresh_lengths), len(ctx.primary)
+    cases = [rng.random(m) * 5 for _ in range(10)]
+    cases += [ctx.fresh_counts @ p for p in
+              [rng.random(k), np.ones(k), np.zeros(k), (rng.random(k) < 0.5) * 1.0] * 3]
+    for _ in range(30):
+        values = rng.random(m) * 5
+        for j in rng.permutation(m)[:m // 2]:
+            cut = values[rng.integers(m)] - 1e-12
+            values[j] = (cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf))[rng.integers(3)]
+        cases.append(values)
+    return cases
+
+
+@pytest.mark.parametrize("harq, table", [(DEFAULT_VL_HARQ, TABLE), (VL_HARQ, VL_TABLE)],
+                         ids=["default", "vl"])
+def test_fresh_levels_equal_the_masked_rule(harq, table):
+    # fresh_levels solves a level from prefix maxima by cost and a scan by
+    # rank; the masks over every level and free-slot count must agree
+    from harqlink.simulator import _VlContext
+    ctx = _VlContext(harq, table)
+    for values in _level_cases(ctx, np.random.default_rng(7)):
+        for slots in range(21):
+            want, top = _oracle_levels(ctx, values, slots)
+            vals, bound, best = ctx.fresh_levels(values, slots)
+            assert vals == values.tolist() and bound == top
+            assert [best(level) for level in range(len(bound))] == want, (values, slots)
+
+
 # ---------------------------------------------------------------------------
 # scheduler oracle: the plain depth-first search that vl_schedule replaced,
 # kept as the reference its assignments must equal
@@ -701,9 +742,10 @@ def _random_buffers(ctx, table, max_pending, count, seed):
 
 
 # The search is exponential in the pending count, the oracle's and
-# vl_schedule's alike: with the default lengths 6 pending packets take
-# 16-31 ms a buffer and 9 or more take seconds, so that config stops at 5.
-# The simulations never hold more than 4.
+# vl_schedule's alike, so the default config stops at 5.  The pending counts
+# the default config's searches see (10^5 blocks, seed 10, stream 6) are
+# {1: 10644, 2: 603, 3: 8} at 0 dB, {1: 15431, 2: 2311, 3: 225, 4: 12} at
+# 10 dB and {1: 4136, 2: 649, 3: 84, 4: 11} at 20 dB.
 @pytest.mark.parametrize("harq, table, max_pending", [
     (DEFAULT_VL_HARQ, TABLE, 5), (VL_HARQ, VL_TABLE, 12), (VL_HARQ, VL_STEP_TABLE, 12),
     (VL_ONE_ROUND, VL_TABLE, 3),
