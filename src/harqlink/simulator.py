@@ -307,9 +307,8 @@ class _VlContext:
         self.fresh_rank = np.argsort(order)
         self.fit = np.array([j for j in order if npkts_m[j] <= self.buffer_cap])  # by rank
         self.primary_th = [table.thresholds[self.len_to_l[length] - 1] for length in self.primary]
-        # the best fresh multiset moves only at the multiset costs, its levels.
-        # Per count of free slots, the multisets that fit them by cost, with
-        # each level's last (for prefix maxima), and per level by rank
+        # the best fresh multiset moves only at the multiset costs, its levels.  Per count of
+        # free slots, the fitting multisets by cost with each level's last, and by rank per level
         levels = sorted(set(costs_m.tolist()))
         self.level_at = [bisect_right(levels, c) - 1 for c in range(self.unit + 1)]
         self.npkts, self.by_cost, self.level_end, self.by_rank = npkts_m.tolist(), [], [], []
@@ -317,7 +316,8 @@ class _VlContext:
             fit = [j for j in order if self.npkts[j] <= slots]
             self.by_cost.append(np.array(sorted(fit, key=lambda j: costs_m[j]), dtype=np.intp))
             self.level_end.append(np.searchsorted(costs_m[self.by_cost[-1]], levels, "right") - 1)
-            self.by_rank.append([[j for j in fit if costs_m[j] <= level] for level in levels])
+            self.by_rank.append([[[j for j in fit if costs_m[j] <= level and self.npkts[j] == k]
+                                  for k in range(slots + 1)] for level in levels])
         # (length, units, scheduled): not sending a pending packet, then each length
         self.retx_options = [(0.0, 0, 0)] + [(x, self.units[x], 1) for x in self.retx_lengths]
         self.ratios = {first: [x / first for x in self.retx_lengths] for first in self.primary}
@@ -339,7 +339,8 @@ class _VlContext:
     def fresh_levels(self, fresh_values: np.ndarray, slots: int) -> tuple:
         """Per level, the maximum value of the multisets that fit `slots` free
         slots (a prefix maximum by cost), and best(level): the first of them
-        in rank order within 1e-12 of it, solved once."""
+        in rank order within 1e-12 of it, solved once and scanning only the
+        packet counts that can reach it (a sum of success probabilities)."""
         slots = min(slots, len(self.by_cost) - 1)
         bound = np.maximum.accumulate(fresh_values[self.by_cost[slots]])[self.level_end[slots]]
         vals, bound, by_rank, found = fresh_values.tolist(), bound.tolist(), self.by_rank[slots], {}
@@ -347,7 +348,8 @@ class _VlContext:
         def best(level: int) -> int:
             if level not in found:
                 cut = bound[level] - 1e-12
-                found[level] = next(j for j in by_rank[level] if vals[j] >= cut)
+                found[level] = next(j for group in by_rank[level][max(math.ceil(cut - 1e-9), 0):]
+                                    for j in group if vals[j] >= cut)
             return found[level]
         return vals, bound, best
 
@@ -436,11 +438,12 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
     # a packet's value is 1 - f; not sending it adds 0.0, which leaves every sum as it was
     values = [[0.0] + [1.0 - f for f in row] for row in fails]
     n, suffix_best = len(values), list(accumulate([max(v) for v in values[::-1]], initial=0.0))[::-1]
-    top = [(math.inf, 0), None, None, None]  # [(-total, scheduled), lengths, multiset, vector]
+    # the best leaf, [(-total, scheduled), lengths, multiset, vector], and its total
+    top, floor = [(math.inf, 0), None, None, None], -math.inf
 
     def dfs(i: int, nf_lengths: list[float], cap_units: int, value: float, scheduled: int):
-        nonlocal top
-        if value + suffix_best[i] + bound[level_at[cap_units]] < -top[0][0] - 1e-12:
+        nonlocal top, floor
+        if value + suffix_best[i] + bound[level_at[cap_units]] < floor - 1e-12:
             return
         if i < n - 1:
             for (length, units, s), val in zip(options, values[i]):
@@ -448,13 +451,12 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
                     dfs(i + 1, nf_lengths + [length], cap_units - units, value + val,
                         scheduled + s)
             return
-        # the leaves: a leaf's total is at most its value with the level's
-        # maximum, so only a leaf that may not lose solves its level
+        # the leaves: only one whose value and level maximum reach the best solves its level
         for (length, units, s), val in zip(options, values[i]):
             if units > cap_units:
                 continue
             level, v = level_at[cap_units - units], value + val
-            if v + bound[level] < -top[0][0]:
+            if v + bound[level] < floor:
                 continue
             j = fresh(level)
             key, vector = (-(v + vals[j]), scheduled + s + npkts[j]), None
@@ -468,7 +470,7 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
                     vector = _vl_vector(positions, nf_lengths + [length], ctx.fresh_lengths[j], size)
                     if vector >= top[3]:
                         continue
-            top = [key, nf_lengths + [length], j, vector]
+            top, floor = [key, nf_lengths + [length], j, vector], -key[0]
 
     if not n:
         return [], int(ctx.best_fresh(np.array(vals), ctx.fresh_sets[2] <= size))
@@ -531,8 +533,7 @@ def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
          for x, (pkt, length, ack, fold) in enumerate(zip(buffer, assignment, outcomes,
                                                           folded or [None] * len(buffer)))
          if pkt.harq_count or length], gamma, harq.max_rounds, PacketState)
-    kept = dict(zip(slots, pend))
-    cap = harq.max_rounds * len(harq.lengths_primary)
+    kept, cap = dict(zip(slots, pend)), harq.max_rounds * len(harq.lengths_primary)
     return [kept.get(x) or PacketState() for x in range(cap)], acked, drops
 
 
@@ -553,11 +554,10 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     The state is the pending packets (`_Pending`s) and their slots; other
     slots hold interchangeable fresh packets.  With none pending, a block
     takes the best fresh multiset, precomputed per chunk on `per_at`'s array
-    path (the choice agrees with the scheduler's scalar path unless two
-    multisets' values fall within an ulp of the 1e-12 tie margin), so a run
-    of such blocks reads its uniforms at a cumsum of their packet counts up
-    to the first NACK.  That block, and each block with pending packets
-    (`_vl_search`), update them (`_vl_commit`).
+    path (agreeing with the scalar path unless two multisets' values fall
+    within an ulp of the 1e-12 tie margin), and a run of such blocks reads
+    its uniforms at a cumsum of their packet counts up to the first NACK.
+    That block and each with pending packets (`_vl_search`) update them.
     """
     if channel.fading_mode is not FadingMode.FAST:
         raise ValueError("variable-length HARQ is simulated for fast fading only")

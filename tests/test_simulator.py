@@ -602,18 +602,20 @@ def _oracle_levels(ctx, values, slots):
 
 
 def _level_cases(ctx, rng):
-    """Random values, values of success probabilities (exact ties when they
-    are 0 or 1), and near-ties: values at, and one ulp on either side of,
-    1e-12 below another multiset's value."""
-    m, k = len(ctx.fresh_lengths), len(ctx.primary)
-    cases = [rng.random(m) * 5 for _ in range(10)]
+    """Values at most each multiset's packet count, as success probabilities
+    make them: random ones, those of success probabilities (exact ties when
+    these are 0 or 1), and near-ties, at and one ulp on either side of 1e-12
+    below another multiset's value."""
+    m, k, npkts = len(ctx.fresh_lengths), len(ctx.primary), ctx.fresh_sets[2]
+    cases = [rng.random(m) * npkts for _ in range(10)]
     cases += [ctx.fresh_counts @ p for p in
               [rng.random(k), np.ones(k), np.zeros(k), (rng.random(k) < 0.5) * 1.0] * 3]
     for _ in range(30):
-        values = rng.random(m) * 5
+        values = rng.random(m) * npkts
         for j in rng.permutation(m)[:m // 2]:
             cut = values[rng.integers(m)] - 1e-12
-            values[j] = (cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf))[rng.integers(3)]
+            near = (cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf))[rng.integers(3)]
+            values[j] = min(near, npkts[j])
         cases.append(values)
     return cases
 
