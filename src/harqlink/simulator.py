@@ -337,10 +337,9 @@ class _VlContext:
         return ranks.argmin(axis=-1)
 
     def fresh_levels(self, fresh_values: np.ndarray, slots: int) -> tuple:
-        """Per level, the maximum value of the multisets that fit `slots` free
-        slots (a prefix maximum by cost), and best(level): the first of them
-        in rank order within 1e-12 of it, solved once and scanning only the
-        packet counts that can reach it (a sum of success probabilities)."""
+        """Per level, the maximum value (a prefix maximum by cost) of the multisets
+        that fit `slots` free slots, and best(level): the first by rank within 1e-12
+        of it, solved once from the packet counts that can reach it (values are <= counts)."""
         slots = min(slots, len(self.by_cost) - 1)
         bound = np.maximum.accumulate(fresh_values[self.by_cost[slots]])[self.level_end[slots]]
         vals, bound, by_rank, found = fresh_values.tolist(), bound.tolist(), self.by_rank[slots], {}
@@ -383,8 +382,8 @@ class _Pending:
     def __init__(self, ctx: _VlContext, harq_count: int, first_len: float, snr_sigma: float):
         self.harq_count, self.first_len, self.snr_sigma = harq_count, first_len, snr_sigma
         self.th = ctx.table.thresholds[ctx.len_to_l[first_len] - 1]
-        self.mi, self.ratios = mutual_information(snr_sigma), ctx.ratios[first_len]
-        self.p_now = per_at(snr_sigma, self.th, ctx.table.a_tilde)
+        self.p_now = per_at(snr_sigma, self.th, ctx.table.a_tilde)  # checks snr_sigma >= 0
+        self.mi, self.ratios = math.log1p(snr_sigma) / _LN2, ctx.ratios[first_len]
 
     def options(self, mi_gamma: float, a_tilde: float) -> tuple[list[float], list[float]]:
         """Per ctx.retx_lengths, the aggregate SNR after a round at MI(gamma) =
@@ -608,12 +607,13 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                 if stop == n:
                     upos += w
                     break
-                b = stop  # the NACK block: its multiset takes the last slots
+                # the NACK block fills the last slots; a fresh fold is MI^{-1}(MI(g)) exactly
+                b, fold = stop, mutual_information_inv(math.log1p(g_list[stop]) / _LN2)
                 oks, upos = (~nack[first[b] - lo:first[b + 1] - lo]).tolist(), upos + first[b + 1] - lo
-                entries = [(size - len(oks) + t, None, length, ok, None)
+                entries = [(size - len(oks) + t, None, length, ok, fold)
                            for t, (length, ok) in enumerate(zip(ctx.fresh_lengths[choice[b]], oks))]
             else:
-                mi_gamma = mutual_information(g_list[b])
+                mi_gamma = math.log1p(g_list[b]) / _LN2  # the SNRs are draws, >= 0
                 opts = [pkt.options(mi_gamma, table.a_tilde) for pkt in pend]
                 lens, j = _vl_search(ctx, [fails for _, fails in opts], positions, size, g_list[b])
                 fresh_lens = ctx.fresh_lengths[j]
