@@ -444,8 +444,8 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
         nonlocal top, floor
         if value + suffix_best[i] + bound[level_at[cap_units]] < floor - 1e-12:
             return
-        if i < n - 1:
-            for (length, units, s), val in zip(options, values[i]):
+        if i < n - 1:  # shortest first: a good best leaf early prunes more; the winner is the same
+            for (length, units, s), val in zip(options[::-1], values[i][::-1]):
                 if units <= cap_units:
                     dfs(i + 1, nf_lengths + [length], cap_units - units, value + val,
                         scheduled + s)
