@@ -304,7 +304,7 @@ class _VlContext:
                                            for _ in range(n))) for c in counts_m]
         # tie-break rank: fewer packets, then the smallest sorted length list
         order = sorted(range(len(counts_m)), key=lambda j: (npkts_m[j], self.fresh_lengths[j]))
-        self.fresh_rank = np.argsort(order)
+        self.order = np.array(order)
         self.fit = np.array([j for j in order if npkts_m[j] <= self.buffer_cap])  # by rank
         self.primary_th = [table.thresholds[self.len_to_l[length] - 1] for length in self.primary]
         # the best fresh multiset moves only at the multiset costs, its levels.  Per count of
@@ -331,10 +331,7 @@ class _VlContext:
     def best_fresh(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Index of the best fresh multiset along the last axis of values
         among those in mask: the lowest rank within 1e-12 of the maximum."""
-        vals = np.where(mask, values, -1.0)
-        top = vals.max(axis=-1, keepdims=True)
-        ranks = np.where(vals >= top - 1e-12, self.fresh_rank, len(self.fresh_rank))
-        return ranks.argmin(axis=-1)
+        return self.order[_first_top(np.where(mask, values, -1.0)[..., self.order], -1)]
 
     def fresh_levels(self, fresh_values: np.ndarray, slots: int) -> tuple:
         """Per level, the maximum value (a prefix maximum by cost) of the multisets
@@ -354,11 +351,15 @@ class _VlContext:
 
     def fresh_chunk(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-block PERs of the primary lengths, shape (blocks, primaries),
-        and each block's best fresh multiset under the full block budget
-        and buffer capacity (`best_fresh`, on its values by rank)."""
+        and each block's best fresh multiset under the full budget and buffer
+        capacity: `best_fresh`'s rule, on one row of values per multiset by rank."""
         per_rows = per_at(gammas[:, None], np.array(self.primary_th), self.table.a_tilde)
-        values = self.fresh_counts[self.fit] @ (1.0 - per_rows).T
-        return per_rows, self.fit[(values >= values.max(axis=0) - 1e-12).argmax(axis=0)]
+        return per_rows, self.fit[_first_top(self.fresh_counts[self.fit] @ (1.0 - per_rows).T, 0)]
+
+
+def _first_top(by_rank: np.ndarray, axis: int) -> np.ndarray:
+    """Along `axis` of values in rank order, the first within 1e-12 of the maximum."""
+    return (by_rank >= by_rank.max(axis=axis, keepdims=True) - 1e-12).argmax(axis=axis)
 
 
 @lru_cache(maxsize=8)
@@ -472,7 +473,7 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
             top, floor = [key, nf_lengths + [length], j, vector], -key[0]
 
     if not n:
-        return [], int(ctx.best_fresh(np.array(vals), ctx.fresh_sets[2] <= size))
+        return [], fresh(level_at[ctx.unit])
     dfs(0, [], ctx.unit, 0.0, 0)
     return top[1], top[2]
 
@@ -491,7 +492,7 @@ def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
     positions = [x for x, pkt in enumerate(buffer) if pkt.harq_count]
     if retx is None:
         retx = {x: _Pending(ctx, buffer[x].harq_count, buffer[x].first_len, buffer[x].snr_sigma)
-                .options(mutual_information(gamma), table.a_tilde) for x in positions}
+                .options(mutual_information(gamma), ctx.table.a_tilde) for x in positions}
     lens, j = _vl_search(ctx, [retx[x][1] for x in positions], positions, len(buffer), gamma)
     best_assign = _vl_vector(positions, lens, ctx.fresh_lengths[j], len(buffer))
     assert sum(best_assign) <= 1.0 + 1e-9
@@ -527,12 +528,14 @@ def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
     per primary length; returns (new buffer, acked, drops)."""
     if not (len(assignment) == len(outcomes) == len(buffer)):
         raise ValueError("assignment/outcomes must align with the buffer")
+    if len(buffer) > (cap := harq.max_rounds * len(harq.lengths_primary)):
+        raise ValueError("buffer exceeds its capacity")
     slots, pend, acked, drops = _vl_commit(
         [(x, pkt if pkt.harq_count else None, length, ack, fold)
          for x, (pkt, length, ack, fold) in enumerate(zip(buffer, assignment, outcomes,
                                                           folded or [None] * len(buffer)))
          if pkt.harq_count or length], gamma, harq.max_rounds, PacketState)
-    kept, cap = dict(zip(slots, pend)), harq.max_rounds * len(harq.lengths_primary)
+    kept = dict(zip(slots, pend))  # every other slot holds a fresh packet
     return [kept.get(x) or PacketState() for x in range(cap)], acked, drops
 
 
@@ -595,17 +598,14 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
         b = 0
         while b < n:
             if not pend:
-                # all fresh from block b: the run's packets read the next uniforms in
-                # order up to the first NACK, sought in windows growing eightfold
-                lo, w, nack = first[b], 0, np.zeros(0, dtype=bool)
-                while w < first[n] - lo and not nack.any():
-                    w = first[owner[min(lo + 8 * w + 256, first[n]) - 1] + 1] - lo
-                    nack = ahead(w) < fresh_pers[lo:lo + w]
-                k = int(nack.argmax()) if w else 0
-                stop = int(owner[lo + k]) if w and nack[k] else n
+                # all fresh from block b: its packets read the next uniforms to the first NACK
+                lo, run = first[b], first[n] - first[b]
+                nack = ahead(run) < fresh_pers[lo:]
+                k = int(nack.argmax()) if run else 0
+                stop = int(owner[lo + k]) if run and nack[k] else n
                 acked[b:stop] = counts[b:stop]
                 if stop == n:
-                    upos += w
+                    upos += run
                     break
                 # the NACK block fills the last slots; a fresh fold is MI^{-1}(MI(g)) exactly
                 b, fold = stop, mutual_information_inv(math.log1p(g_list[stop]) / _LN2)
@@ -614,7 +614,7 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                            for t, (length, ok) in enumerate(zip(ctx.fresh_lengths[choice[b]], oks))]
             else:
                 mi_gamma = math.log1p(g_list[b]) / _LN2  # the SNRs are draws, >= 0
-                opts = [pkt.options(mi_gamma, table.a_tilde) for pkt in pend]
+                opts = [pkt.options(mi_gamma, ctx.table.a_tilde) for pkt in pend]
                 lens, j = _vl_search(ctx, [fails for _, fails in opts], positions, size, g_list[b])
                 fresh_lens = ctx.fresh_lengths[j]
                 fresh_per = dict(zip(ctx.primary, per_rows[b].tolist()))

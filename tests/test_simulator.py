@@ -421,6 +421,12 @@ def test_vl_update_validates_alignment():
         vl_update([PacketState()], [1.0, 0.5], 1.0, [True], VL_HARQ)
 
 
+def test_vl_update_rejects_an_overfull_buffer():
+    size = VL_HARQ.max_rounds * len(VL_HARQ.lengths_primary) + 1
+    with pytest.raises(ValueError, match="capacity"):
+        vl_update([PacketState()] * size, [0.0] * size, 1.0, [False] * size, VL_HARQ)
+
+
 def test_vl_simulation_runs_and_beats_nothing_scheduled():
     res = simulate_vl(VL_HARQ, VL_TABLE, _chan(10.0), blocks=10 ** 5)
     assert 0.0 < res.throughput <= VL_TABLE.rates[-1]
