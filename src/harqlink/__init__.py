@@ -5,9 +5,8 @@ from .amc import (DecisionRegions, RegionKind, ThroughputEstimate,
                   amc_thresholds_exact, amc_thresholds_per_target, classify)
 from .channel import (ChannelConfig, FadingMode, db_to_linear, linear_to_db,
                       make_stream)
-from .coding import (CombiningType, McsTable, aggregate_snr, first_round_cum,
-                     mutual_information, mutual_information_inv, per, per_at,
-                     snr_margin_delta)
+from .coding import (CombiningType, McsTable, first_round_cum, mutual_information,
+                     mutual_information_inv, per, per_at, snr_margin_delta)
 from .harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
                             fast_throughput, slow_cascades, slow_throughput,
                             slow_throughput_at, two_round_bound)

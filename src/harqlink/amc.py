@@ -183,15 +183,21 @@ def amc_thresholds_per_target(table: McsTable, p_loss: float, arq_rounds: int = 
     return DecisionRegions(RegionKind.THRESHOLDS, thresholds=tuple(gammas))
 
 
+def _interval_masses(regions: DecisionRegions, table: McsTable, avg_snr: float):
+    """Labels (an array), lows and highs of every non-empty interval of
+    regions, and the rows P(SNR in it) and integral of pdf * PER_l over it."""
+    labels, lows, highs = regions.labelled_intervals()
+    labels = np.array(labels)
+    m = first_round_cum(labels, (highs, lows), table, avg_snr)
+    return labels, lows, highs, m[:, 0] - m[:, 1]
+
+
 def amc_throughput(regions: DecisionRegions, table: McsTable, avg_snr: float) -> ThroughputEstimate:
     """Expected AMC throughput sum_l R_l (1 - f_1l) p_l over the SNR law,
     in closed form: sum_l R_l (P(region l) - integral of pdf * PER_l over it).
 
     Identical for slow and fast fading (errors are block-memoryless).
     """
-    labels, lows, highs = regions.labelled_intervals()
-    labels = np.array(labels)
-    m = first_round_cum(labels, (highs, lows), table, avg_snr)
-    p, f1 = m[:, 0] - m[:, 1]  # per region: P(SNR in it) and the mass of pdf * PER_l
+    labels, _, _, (p, f1) = _interval_masses(regions, table, avg_snr)
     rates = np.asarray(table.rates)[labels - 1]
     return ThroughputEstimate(value=float(np.sum(rates * (p - f1))))

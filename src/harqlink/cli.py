@@ -259,7 +259,7 @@ def _db_str(x: float) -> str:
 
 def _verify() -> int:
     """Fast self-checks of the core invariants; one line per check."""
-    from .coding import aggregate_snr, per, snr_margin_delta
+    from .coding import mutual_information, mutual_information_inv, per, snr_margin_delta
     from .harq_analysis import slow_throughput_at
 
     table = McsTable(rates=DEFAULT_RATES, a_tilde=4.0)
@@ -271,7 +271,7 @@ def _verify() -> int:
     checks.append(("AMC boundary PERs ~ 1-R_{l-1}/R_l",
                    all(abs(p - (1 - (l - 1) / l)) < 0.01 for p, l in zip(pers, range(2, 6)))))
     checks.append(("IR aggregate beats RR",
-                   aggregate_snr([1, 1], CombiningType.IR) > aggregate_snr([1, 1], CombiningType.RR)))
+                   mutual_information_inv(2.0 * mutual_information(1.0)) > 1.0 + 1.0))
     eta = [slow_throughput_at(2.0, k, CombiningType.IR, table)[2] for k in range(1, 7)]
     checks.append(("slow throughput non-decreasing in K",
                    all(b >= a - 1e-12 for a, b in zip(eta, eta[1:]))))

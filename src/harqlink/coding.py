@@ -1,8 +1,8 @@
-"""Packet-error model, decoding thresholds, HARQ combining functions, and
+"""Packet-error model, decoding thresholds, HARQ combining types, and
 closed-form averages over the exponential SNR law: the first-round masses
-P(SNR < x) and E[PER_l; SNR < x] (`first_round_cum`) and the Erlang means
-of the PER (`per_erlang_rows`).  The only place that evaluates the PER,
-log2(1 + gamma) and its inverse."""
+P(SNR < x) and E[PER_l; SNR < x] (`first_round_cum`), and the Erlang means
+of the PER (`per_erlang_rows`), whose differences give every RR mass.  The
+only place that evaluates the PER, log2(1 + gamma) and its inverse."""
 
 from __future__ import annotations
 
@@ -149,39 +149,54 @@ def first_round_cum(l, x, table: McsTable, avg_snr: float) -> np.ndarray:
     return out
 
 
-def per_erlang_rows(l: int, x, rounds: int, table: McsTable, avg_snr: float) -> np.ndarray:
+def per_erlang_rows(l, x, rounds: int, table: McsTable, avg_snr: float) -> np.ndarray:
     """E[PER_l(x + U_m)], U_m ~ Erlang(m, avg_snr), for m = 1..rounds: row
-    m - 1 of a (rounds, x.size) array, over an ascending grid x >= 0.
+    m - 1 of a (rounds,) + broadcast shape array of l (a rate index or an
+    integer array) and x (>= 0, in any order, inf allowed).
 
-    For integer m the incomplete gamma functions are finite Poisson sums
-    (Abramowitz & Stegun 6.5.13).  On the grid prefix x < th_l, with
-    z = (th_l - x) / avg_snr, r = 1 / (avg_snr beta) and
-    beta = a_tilde / th_l + 1 / avg_snr, the mean is
-    1 - sum_{j<m} e^{-z} z^j / j! + sum_{j<m} e^{-z} z^j / j! r^{m-j}, and one
-    pass over j yields every m.  Above the prefix it is the exponential tail
-    exp(a_tilde (1 - x / th_l)) / (avg_snr beta)^m, and 0 for a_tilde = inf.
+    The incomplete gamma functions are finite Poisson sums (Abramowitz &
+    Stegun 6.5.13): with z = max(th_l - x, 0) / avg_snr, beta = a_tilde /
+    th_l + 1 / avg_snr, w = avg_snr beta z and t = exp(a_tilde min(1 - x /
+    th_l, 0)), the mean is 1 - sum_{j<m} e^{-z} z^j / j! +
+    t sum_{j<m} e^{-z} w^j / j! / (avg_snr beta)^m, the exponential tail
+    where x >= th_l (z = 0), without the second sum for a_tilde = inf.
+    1 - e^{-z} is -expm1(-z): the error is about 1e-16 z for small z.
     """
-    th = table.threshold(l)
-    out = np.empty((rounds, x.size))
-    below = np.searchsorted(x, th)  # the length of the prefix x < th_l
-    if math.isinf(table.a_tilde):
-        r, out[:, below:] = 0.0, 0.0
-    else:
-        beta = table.a_tilde / th + 1.0 / avg_snr
-        r = 1.0 / (avg_snr * beta)
-        tail = np.exp(table.a_tilde * (1.0 - x[below:] / th))
-        for m in range(1, rounds + 1):
-            out[m - 1, below:] = tail / (avg_snr * beta) ** m
-    z = (th - x[:below]) / avg_snr
-    term = np.exp(-z)  # the Poisson term e^{-z} z^j / j!, from j = 0
-    mass = np.zeros_like(z)  # sum_{j<m} of the terms
-    tail_mass = np.zeros_like(z)  # sum_{j<m} of the terms times r^{m-j}
-    for m in range(1, rounds + 1):
-        mass += term
-        tail_mass = r * (tail_mass + term)
-        out[m - 1, :below] = (1.0 - mass) + tail_mass
-        term = term * z / m
+    th = table.threshold(l) if isinstance(l, int) else np.asarray(table.thresholds)[np.asarray(l) - 1]
+    x = np.asarray(x, dtype=float)
+    z = np.maximum(th - x, 0.0) / avg_snr
+    step = math.isinf(table.a_tilde)
+    # row j: e^{-z} z^j / j! and e^{-z} w^j / j!, then their sums over j < m,
+    # in place: a fresh 2^15-point temporary costs more in page faults
+    terms = np.empty((rounds, 1 if step else 2) + z.shape)
+    i = np.arange(1.0, rounds).reshape((rounds - 1,) + (1,) * z.ndim)
+    np.divide(z, i, out=terms[1:, 0])
+    if not step:
+        scale = avg_snr * (table.a_tilde / th + 1.0 / avg_snr)  # avg_snr beta
+        power = np.reshape([scale ** m for m in range(1, rounds + 1)],
+                           (rounds,) + (1,) * (z.ndim - np.ndim(th)) + np.shape(th))
+        np.divide(z * scale, i, out=terms[1:, 1])
+    terms[0] = np.exp(-z)
+    for j in range(1, rounds):
+        terms[j] *= terms[j - 1]
+    terms[0, 0] = 0.0  # the sums of the first kind start at j = 1, after -expm1(-z)
+    for j in range(1, rounds):
+        terms[j] += terms[j - 1]
+    out = np.subtract(-np.expm1(-z), terms[:, 0])
+    if not step:
+        out += terms[:, 1] * (np.exp(table.a_tilde * np.minimum(1.0 - x / th, 0.0)) / power)
     return out
+
+
+def _erlang_phi(l, x, K: int, table: McsTable, avg_snr: float) -> np.ndarray:
+    """phi_k(x) = e^{-x / avg_snr} E[PER_l(x + U_k)] for k = 2..K, row k - 2,
+    with l and x as in `per_erlang_rows`.  The Erlang densities satisfy
+    f_k' = (f_{k-1} - f_k) / avg_snr and f_k(0) = 0 for k >= 2, so
+    phi_k' = -pdf E[PER_l(x + U_{k-1})]: the RR mass of pdf * f_{k,l} over
+    [a, b) is phi_k(a) - phi_k(b), exactly, and phi_k(inf) = 0."""
+    phi = per_erlang_rows(l, x, K, table, avg_snr)[1:]
+    phi *= np.exp(-np.asarray(x, dtype=float) / avg_snr)
+    return phi
 
 
 def snr_margin_delta(epsilon: float, a_tilde: float) -> float:
@@ -191,20 +206,3 @@ def snr_margin_delta(epsilon: float, a_tilde: float) -> float:
     if not a_tilde > 0:
         raise ValueError("a_tilde must be positive")
     return math.log(1.0 / epsilon) / a_tilde + 1.0
-
-
-def aggregate_snr(snrs, combining: CombiningType) -> float:
-    """Scalar aggregate SNR h^{-1}(sum h(gamma_t)) of the rounds so far.
-
-    For IR the sum is kept in the MI domain and exponentiated once, which
-    avoids overflowing the product prod(1 + gamma_t) at high SNR.
-    """
-    snrs = np.asarray(snrs, dtype=float)
-    if snrs.size == 0:
-        raise ValueError("need at least one SNR")
-    if np.any(snrs < 0):
-        raise ValueError("SNRs must be nonnegative")
-    if combining is CombiningType.RR:
-        return float(np.sum(snrs))
-    return float(mutual_information_inv(np.sum(mutual_information(snrs))))
-

@@ -11,9 +11,10 @@ information density on a uniform MI grid.  The fast-fading throughput is
 a renewal-reward ratio (S. M. Ross, Applied Probability Models with
 Optimization Applications, 1970): a cycle's expected reward over its
 expected duration, both sums of each rate's masses over its own region.
-Fixed regions need those masses only, and `fast_throughput` takes them
-from one grid functional per region (`_region_masses`), for IR as
-spectral inner products; the region optimizer needs them as curves of the
+Fixed regions need those masses only: `fast_throughput` takes RR's as
+differences of one closed-form function at the region ends (`_rr_masses`),
+and IR's from one grid functional per region, spectral inner products
+(`_region_masses`).  The region optimizer needs them as curves of the
 threshold, so it builds FastFadingTables and returns the ratio it maximizes.
 """
 
@@ -26,9 +27,9 @@ from enum import Enum
 
 import numpy as np
 
-from .amc import DecisionRegions, ThroughputEstimate
-from .coding import (CombiningType, McsTable, first_round_cum, mutual_information,
-                     mutual_information_inv, per, per_at, per_erlang_rows)
+from .amc import DecisionRegions, ThroughputEstimate, _interval_masses
+from .coding import (CombiningType, McsTable, _erlang_phi, first_round_cum, mutual_information,
+                     mutual_information_inv, per, per_at)
 
 
 class HarqVariant(Enum):
@@ -240,20 +241,19 @@ class FastFadingTables:
     """Cumulative f_{k,l} tables over a shared SNR grid.
 
     The grid is uniform in the MI domain (`_mi_grid`).  cum[k - 2, l - 1] is
-    the integral of pdf * f_{k,l} over [0, x_i) for k >= 2, by the
-    trapezoid rule; each f_{k,l} row is integrated as soon as it is made.
-    RR rows are the Erlang closed form, every k of one rate from one pass.
-    IR row (k, l) is the correlation f_{k,l}(x_i) = sum_{j<n} g_l[i + j]
+    the integral of pdf * f_{k,l} over [0, x_i) for k >= 2: for RR exactly
+    phi_k(0) - phi_k(x_i) (`coding._erlang_phi`), and for IR the trapezoid
+    rule over the grid of the correlation f_{k,l}(x_i) = sum_{j<n} g_l[i + j]
     p_{k-1}[j] dv of PER_l on the grid extended to 2n points, g_l, with the
-    density p_{k-1} of the MI summed over k - 1 rounds, made from the
-    spectra of `_ir_spectra`.  All transforms have length 2n: the circular
-    correlation of the 2n-point g_l with the zero-padded p_{k-1} reaches
-    index i + j <= 2n - 2 for the n outputs i < n a row keeps, so it never
-    wraps.  The region optimizer, the only harqlink code that builds them,
-    reads every region mass from `cum_mass` and its renewal-reward sums
-    from `renewal_sums`; so does fast_throughput when it is given tables.
+    density p_{k-1} of the MI summed over k - 1 rounds (`_ir_spectra`).  All
+    transforms have length 2n: the circular correlation of the 2n-point g_l
+    with the zero-padded p_{k-1} reaches index i + j <= 2n - 2 for the n
+    outputs i < n a row keeps, so it never wraps.  The region optimizer, the
+    only harqlink code that builds them, reads every region mass from
+    `cum_mass` and its renewal-reward sums from `renewal_sums`; so does
+    fast_throughput when it is given tables.
 
-    The trapezoid and the IR row chain write with out= into work arrays
+    The IR trapezoid and row chain write with out= into work arrays
     (`_work_arrays`) that the build makes after its own x and cum, in the
     arithmetic of the allocating build, so every `cum` bit is the same.
     """
@@ -271,22 +271,24 @@ class FastFadingTables:
 
         n = n_grid
         dv, self.x = _mi_grid(avg_snr, n)
-        pdf = np.exp(-self.x / avg_snr) / avg_snr
-        dx = np.diff(self.x)
         L = table.num_rates
         self.cum = np.empty((K - 1, L, n))
         self.cum[:, :, 0] = 0.0
         if K < 2:
             return
+        if combining is CombiningType.RR:
+            self._phi0 = np.empty((K - 1, L))  # phi_k(0), for cum_mass off the grid
+            for l in range(L):
+                phi = _erlang_phi(l + 1, self.x, K, table, avg_snr)
+                self._phi0[:, l] = phi[:, 0]  # x_0 = 0
+                np.subtract(phi[:, :1], phi, out=self.cum[:, l])
+            return
+        pdf = np.exp(-self.x / avg_snr) / avg_snr
+        dx = np.diff(self.x)
         work = _work_arrays(y=(n, float), t=(n - 1, float), row=(n, float),
                             p_conj=(n + 1, complex), product=(n + 1, complex))
-        if combining is CombiningType.RR:
-            rows = ((k, l, f) for l in range(L)
-                    for k, f in enumerate(per_erlang_rows(l + 1, self.x, K - 1, table, avg_snr)))
-        else:
-            rows = _ir_rows(table, K, n, dv, self.x, avg_snr, work)
         y, t = work["y"], work["t"]
-        for k, l, f in rows:
+        for k, l, f in _ir_rows(table, K, n, dv, self.x, avg_snr, work):
             # scipy's cumulative_trapezoid, in its arithmetic:
             # cumsum(dx * (y[1:] + y[:-1]) / 2.0) with y = pdf * f
             np.multiply(pdf, f, out=y)
@@ -299,13 +301,17 @@ class FastFadingTables:
         """Masses of pdf * f_{k,l} over [0, x) for k = 0..K, shaped (K + 1,) +
         the broadcast shape of l (a rate index or an integer array) and x (inf
         allowed).  Rows 0 (f_{0,l} = 1, so P(SNR < x)) and 1 are `first_round_cum`;
-        k >= 2 is np.interp of `cum`, in its exact arithmetic."""
+        k >= 2 is phi_k(0) - phi_k(x) for RR, as on the grid, and np.interp of
+        `cum` for IR, in its exact arithmetic."""
         x = np.asarray(x, dtype=float)
         out = np.empty((self.K + 1,) + np.broadcast_shapes(np.shape(l), x.shape))
         out[:2] = first_round_cum(l, x, self.table, self.avg_snr)
         g = self.x
-        if x is g:  # on its own grid the interpolation is the identity
+        if x is g:  # on its own grid, the table itself
             out[2:] = self.cum[:, l - 1]  # l is one rate here
+        elif self.K > 1 and self.combining is CombiningType.RR:
+            phi_0 = self._phi0[:, np.broadcast_to(l, out.shape[1:]) - 1]
+            out[2:] = phi_0 - _erlang_phi(l, x, self.K, self.table, self.avg_snr)
         elif self.K > 1:
             j, width, offset = _grid_cell(g, x)
             c0, c1 = self.cum[:, l - 1, j], self.cum[:, l - 1, j + 1]
@@ -325,13 +331,6 @@ class FastFadingTables:
         regions [a, b) of rates l (equal-length sequences)."""
         reward, cost = self.reward_cost(l, (b, a))
         return float(np.sum(reward[0] - reward[1])), float(np.sum(cost[0] - cost[1]))
-
-    def check_problem(self, table: McsTable, K: int, combining: CombiningType,
-                      avg_snr: float) -> FastFadingTables:
-        """These tables, or ValueError if they were built for another problem."""
-        if (self.table, self.K, self.combining, self.avg_snr) != (table, K, combining, avg_snr):
-            raise ValueError("tables were built for another table, K, combining or avg_snr")
-        return self
 
 
 def _ir_spectra(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
@@ -375,18 +374,27 @@ def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float,
             yield k, l, np.clip(row, 0.0, 1.0, out=row)
 
 
-def _region_masses(labels, lows, highs, K: int, combining: CombiningType, table: McsTable,
-                   avg_snr: float) -> np.ndarray:
-    """Masses E_{k,l} of pdf * f_{k,l} over the regions [lows, highs) of rates
-    labels (all of a rate's intervals together), k = 2..K, as the rows of a
-    (K - 1, L) array: what the differences of FastFadingTables.cum_mass at
-    the region ends give, up to rounding, without building the tables.
+def _rr_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float) -> np.ndarray:
+    """RR masses E_{k,l} of pdf * f_{k,l} over the regions [lows, highs) of
+    rates labels (all of a rate's intervals together), k = 2..K, as the rows
+    of a (K - 1, L) array: each interval's phi_k(low) - phi_k(high)
+    (`coding._erlang_phi`), exact up to rounding, with no grid."""
+    phi = _erlang_phi(labels, (lows, highs), K, table, avg_snr)
+    masses = np.zeros((K - 1, table.num_rates))
+    np.add.at(masses, (slice(None), np.asarray(labels) - 1), phi[:, 0] - phi[:, 1])
+    return masses
+
+
+def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float) -> np.ndarray:
+    """IR masses E_{k,l} of pdf * f_{k,l} over the regions [lows, highs) of
+    rates labels (all of a rate's intervals together), k = 2..K, as the rows
+    of a (K - 1, L) array: what the differences of FastFadingTables.cum_mass
+    at the region ends give, up to rounding, without building the tables.
 
     The trapezoid with linear interpolation in the end cells (`_grid_cell`)
     makes a region mass the weighted sum sum_i W_l[i] f_{k,l}(x_i), with
     W_l[i] = pdf_i (c_l[i - 1] + c_l[i]) / 2 and c_l[m] the length of grid
-    cell m that rate l's regions cover.  RR evaluates the Erlang rows only
-    on the grid span where W_l is nonzero.  IR rows are the correlations
+    cell m that rate l's regions cover.  The rows are the correlations
     dv irfft(G_l conj(P_{k-1}))[:n] of `_ir_rows`, so by Parseval's theorem
     over the 2n-point spectrum
     E_{k,l} = dv / 2n Re sum_w h(w) G_l(w) conj(W^_l(w)) conj(P_{k-1}(w)),
@@ -433,13 +441,6 @@ def _region_masses(labels, lows, highs, K: int, combining: CombiningType, table:
     weights[:, -1] = 0.0
     weights[:, 1:] += covered
     weights *= np.exp(-x / avg_snr) / avg_snr / 2.0
-    if combining is CombiningType.RR:
-        for l in np.unique(rate):
-            lo, hi = ja[rate == l].min(), jb[rate == l].max() + 2
-            rows = per_erlang_rows(int(l) + 1, x[lo:hi], K - 1, table, avg_snr)
-            rows *= weights[l, lo:hi]
-            masses[:, l] = rows.sum(axis=1)
-        return masses
     g_spectra, density_spectra = _ir_spectra(table, K, n, dv, x, avg_snr)
     p_spectra = list(density_spectra)
     # dv p_{k-1}[0], an irfft at 0, and dv sum_j p_{k-1}[j], the zero bin
@@ -479,28 +480,28 @@ def fast_throughput(regions: DecisionRegions, K: int, combining: CombiningType,
                     tables: FastFadingTables | None = None) -> ThroughputEstimate:
     """Renewal-reward throughput over fast fading: the expected reward of a
     cycle over its expected duration, both sums of each rate's masses over
-    its regions, from `_region_masses` (k >= 2) and `first_round_cum`, or,
-    given tables of the same problem, from `FastFadingTables.renewal_sums`
-    as in the region optimizer (only perfbench's optimized-regions check,
-    as its reference, passes them).  The two agree to 1e-13; the tables
-    round more (3.9e-12 of a region's probability at -5 dB, against 1e-15).
-    At -15 dB and below both can be slightly negative (-4.9e-8 at -20 dB,
-    amc-exact, K = 2): the trapezoid overestimates E_{K,l}, which exceeds
-    the exact P_l where f_{K,l} is 1."""
-    l, a, b = regions.labelled_intervals()
+    its regions, from `first_round_cum` and, for k >= 2, `_rr_masses` or
+    `_region_masses`, or, given tables of the same problem, from
+    `FastFadingTables.renewal_sums` as in the region optimizer (only
+    perfbench's optimized-regions check passes them).  The two agree to
+    1e-13; the IR tables round more (3.9e-12 of a region's probability at
+    -5 dB, against 1e-15).  At -15 dB and below IR can be slightly negative
+    (-4.9e-8 at -20 dB, amc-exact, K = 2): the trapezoid overestimates
+    E_{K,l}, which exceeds the exact P_l where f_{K,l} is 1.  RR's masses
+    are exact, but a far-tail P_l rounds to 0 (eta -2.5e-94 there)."""
+    labels, lows, highs, first = _interval_masses(regions, table, avg_snr)
     if tables is not None:
-        tables.check_problem(table, K, combining, avg_snr)
-        reward, duration = tables.renewal_sums(np.array(l), a, b)
+        if (tables.table, tables.K, tables.combining, tables.avg_snr) != (table, K, combining, avg_snr):
+            raise ValueError("tables were built for another table, K, combining or avg_snr")
+        reward, duration = tables.renewal_sums(labels, lows, highs)
         return ThroughputEstimate(value=reward / duration)
     if K < 1:
         raise ValueError("K must be >= 1")
-    labels = np.array(l)
-    m = first_round_cum(labels, (b, a), table, avg_snr)
-    first = m[:, 0] - m[:, 1]  # per interval: P(SNR in it) and the mass of pdf * PER_l
     masses = np.empty((K + 1, table.num_rates))
     for k in range(2):
         masses[k] = np.bincount(labels - 1, first[k], table.num_rates)
-    masses[2:] = _region_masses(l, a, b, K, combining, table, avg_snr)
+    rows = _rr_masses if combining is CombiningType.RR else _region_masses
+    masses[2:] = rows(labels, lows, highs, K, table, avg_snr)
     reward, duration = _reward_cost(np.asarray(table.rates), masses, K)
     return ThroughputEstimate(value=float(reward.sum() / duration.sum()))
 
@@ -511,9 +512,6 @@ def two_round_bound(regions: DecisionRegions, table: McsTable, avg_snr: float) -
     Upper-bounds plain HARQ (RR or IR, any round budget) on the same
     regions; packet-dropping HARQ, which restarts cycles early, can exceed
     it."""
-    labels, lows, highs = regions.labelled_intervals()
-    labels = np.array(labels)
-    m = first_round_cum(labels, (highs, lows), table, avg_snr)
-    p, f1 = m[:, 0] - m[:, 1]  # per region: P(SNR in it) and the mass of pdf * PER_l
+    labels, _, _, (p, f1) = _interval_masses(regions, table, avg_snr)
     rates = np.asarray(table.rates)[labels - 1]
     return float(np.sum(rates * p) / (1.0 + np.sum(f1)))

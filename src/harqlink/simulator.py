@@ -479,21 +479,20 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
 
 
 def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
-                table: McsTable, ctx: _VlContext | None = None,
-                retx=None) -> list[float]:
+                table: McsTable, ctx: _VlContext | None = None) -> list[float]:
     """Length assignment maximizing the expected number of decoded packets
     this block within the unit budget, exhaustive over the pending packets
     (`_vl_search`) with the fresh ones in the best feasible multiset.  Ties
     prefer fewer scheduled packets, then the smallest assignment vector.
-    `retx` may map each pending packet's slot to its `_Pending.options`."""
+    The engine does not call it: it keeps each pending packet as a
+    `_Pending` and searches directly."""
     ctx = ctx or _vl_context(harq, table)
     if len(buffer) > ctx.buffer_cap:
         raise ValueError("buffer exceeds its capacity")
     positions = [x for x, pkt in enumerate(buffer) if pkt.harq_count]
-    if retx is None:
-        retx = {x: _Pending(ctx, buffer[x].harq_count, buffer[x].first_len, buffer[x].snr_sigma)
-                .options(mutual_information(gamma), ctx.table.a_tilde) for x in positions}
-    lens, j = _vl_search(ctx, [retx[x][1] for x in positions], positions, len(buffer), gamma)
+    fails = [_Pending(ctx, buffer[x].harq_count, buffer[x].first_len, buffer[x].snr_sigma)
+             .options(mutual_information(gamma), ctx.table.a_tilde)[1] for x in positions]
+    lens, j = _vl_search(ctx, fails, positions, len(buffer), gamma)
     best_assign = _vl_vector(positions, lens, ctx.fresh_lengths[j], len(buffer))
     assert sum(best_assign) <= 1.0 + 1e-9
     return best_assign
