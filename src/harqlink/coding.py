@@ -155,12 +155,11 @@ def per_erlang_rows(l, x, rounds: int, table: McsTable, avg_snr: float) -> np.nd
     integer array) and x (>= 0, in any order, inf allowed).
 
     The incomplete gamma functions are finite Poisson sums (Abramowitz &
-    Stegun 6.5.13): with z = max(th_l - x, 0) / avg_snr, beta = a_tilde /
-    th_l + 1 / avg_snr, w = avg_snr beta z and t = exp(a_tilde min(1 - x /
-    th_l, 0)), the mean is 1 - sum_{j<m} e^{-z} z^j / j! +
-    t sum_{j<m} e^{-z} w^j / j! / (avg_snr beta)^m, the exponential tail
-    where x >= th_l (z = 0), without the second sum for a_tilde = inf.
-    1 - e^{-z} is -expm1(-z): the error is about 1e-16 z for small z.
+    Stegun 6.5.13): with z = max(th_l - x, 0) / avg_snr, w = avg_snr beta z,
+    beta = a_tilde / th_l + 1 / avg_snr and t = exp(a_tilde min(1 - x / th_l, 0)),
+    E = 1 - sum_{j<m} e^{-z} z^j / j! + t sum_{j<m} e^{-z} w^j / j! / (avg_snr beta)^m,
+    the exponential tail where x >= th_l (z = 0), and without the second sum
+    for a_tilde = inf.  1 - e^{-z} is -expm1(-z), for an error of 1e-16 z.
     """
     th = table.threshold(l) if isinstance(l, int) else np.asarray(table.thresholds)[np.asarray(l) - 1]
     x = np.asarray(x, dtype=float)
