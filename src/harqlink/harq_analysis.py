@@ -287,15 +287,24 @@ class FastFadingTables:
         dx = np.diff(self.x)
         work = _work_arrays(y=(n, float), t=(n - 1, float), row=(n, float),
                             p_conj=(n + 1, complex), product=(n + 1, complex))
-        y, t = work["y"], work["t"]
-        for k, l, f in _ir_rows(table, K, n, dv, self.x, avg_snr, work):
-            # scipy's cumulative_trapezoid, in its arithmetic:
-            # cumsum(dx * (y[1:] + y[:-1]) / 2.0) with y = pdf * f
-            np.multiply(pdf, f, out=y)
-            np.add(y[1:], y[:-1], out=t)
-            np.multiply(dx, t, out=t)
-            np.divide(t, 2.0, out=t)
-            np.cumsum(t, out=self.cum[k, l, 1:])
+        y, t, row, p_conj, product = work.values()
+        g_spectra, density_spectra = _ir_spectra(table, K, n, dv, self.x, avg_snr)
+        g_spectra = list(g_spectra)
+        # cum[k, l] of rounds k + 2 and rate l + 1, k outer, from the row
+        # f = irfft(G_{l+1} conj(P_{k+1}), 2n)[:n] dv, clipped to [0, 1]
+        for k, p_spectrum in enumerate(density_spectra):
+            np.conjugate(p_spectrum, out=p_conj)
+            for l, g in enumerate(g_spectra):
+                np.multiply(g, p_conj, out=product)
+                np.multiply(np.fft.irfft(product, 2 * n)[:n], dv, out=row)
+                np.clip(row, 0.0, 1.0, out=row)
+                # scipy's cumulative_trapezoid, in its arithmetic:
+                # cumsum(dx * (y[1:] + y[:-1]) / 2.0) with y = pdf * f
+                np.multiply(pdf, row, out=y)
+                np.add(y[1:], y[:-1], out=t)
+                np.multiply(dx, t, out=t)
+                np.divide(t, 2.0, out=t)
+                np.cumsum(t, out=self.cum[k, l, 1:])
 
     def cum_mass(self, l, x) -> np.ndarray:
         """Masses of pdf * f_{k,l} over [0, x) for k = 0..K, shaped (K + 1,) +
@@ -355,25 +364,6 @@ def _ir_spectra(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
     return g_spectra, density_spectra()
 
 
-def _ir_rows(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float,
-             work: dict[str, np.ndarray]):
-    """(k - 2, l - 1, f_{k,l}) for every IR row of FastFadingTables, k outer:
-    each row is irfft(G_l conj(P_{k-1}), 2n)[:n] dv, clipped to [0, 1].
-
-    Every yielded row is the same array, the build's work array "row", so
-    a row is valid only until the next yield; FastFadingTables.__init__,
-    the only caller, integrates each row at once."""
-    p_conj, product, row = work["p_conj"], work["product"], work["row"]
-    g_spectra, density_spectra = _ir_spectra(table, K, n, dv, x, avg_snr)
-    g_spectra = list(g_spectra)
-    for k, p_spectrum in enumerate(density_spectra):
-        np.conjugate(p_spectrum, out=p_conj)
-        for l, g in enumerate(g_spectra):
-            np.multiply(g, p_conj, out=product)
-            np.multiply(np.fft.irfft(product, 2 * n)[:n], dv, out=row)
-            yield k, l, np.clip(row, 0.0, 1.0, out=row)
-
-
 def _rr_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float) -> np.ndarray:
     """RR masses E_{k,l} of pdf * f_{k,l} over the regions [lows, highs) of
     rates labels (all of a rate's intervals together), k = 2..K, as the rows
@@ -395,8 +385,8 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
     makes a region mass the weighted sum sum_i W_l[i] f_{k,l}(x_i), with
     W_l[i] = pdf_i (c_l[i - 1] + c_l[i]) / 2 and c_l[m] the length of grid
     cell m that rate l's regions cover.  The rows are the correlations
-    dv irfft(G_l conj(P_{k-1}))[:n] of `_ir_rows`, so by Parseval's theorem
-    over the 2n-point spectrum
+    dv irfft(G_l conj(P_{k-1}))[:n] of the table build, so by Parseval's
+    theorem over the 2n-point spectrum
     E_{k,l} = dv / 2n Re sum_w h(w) G_l(w) conj(W^_l(w)) conj(P_{k-1}(w)),
     with h = 1, 2, ..., 2, 1 over the rfft half: every bin but the first
     and the last stands for itself and its conjugate.  That is the product
@@ -413,10 +403,10 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
     Where that bound comes within 1e-9 of 1, a region that starts at 0
     takes the row's value at 0, dv / 2n sum_w h(w) Re(G_l conj(P_{k-1})),
     and where that does too, or the region starts above 0, the mass is
-    summed from the row made and clipped as `_ir_rows` does.  The amc-exact
-    regions of the README sweep (-5 to 30 dB, a_tilde 4 and inf) never
-    make the row; at -15 dB rate 1's, which starts at 0, and those that
-    start past the grid's end do.
+    summed from the row made and clipped as the table build does.  The
+    amc-exact regions of the README sweep (-5 to 30 dB, a_tilde 4 and inf)
+    never make the row; at -15 dB rate 1's, which starts at 0, and those
+    that start past the grid's end do.
 
     Its work array is one (L + 1, 2n + 2) block (`_work_arrays`): row l
     holds c_l and then W_l, the last row the products that each sum adds.
@@ -466,7 +456,7 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
                 # below that of the FFTs
                 np.multiply(c.view(float), p.view(float), out=product)
                 masses[k, l] = product.sum() * (dv / (2 * n))
-            else:  # the row reaches 1: make it and clip it as _ir_rows does
+            else:  # the row reaches 1: make it and clip it as the table build does
                 row = product[:n]
                 np.multiply(np.fft.irfft(g * np.conjugate(p), 2 * n)[:n], dv, out=row)
                 np.clip(row, 0.0, 1.0, out=row)

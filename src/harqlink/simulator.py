@@ -1,5 +1,5 @@
 """Monte Carlo engines: plain AMC/HARQ cycles, packet-dropping HARQ, and
-variable-length HARQ with per-block exhaustive scheduling.
+variable-length HARQ with per-block optimal scheduling (a knapsack DP).
 
 Per-round outcomes follow the backward-implication error model: given the
 previous rounds failed, round k fails with probability f_k / f_{k-1},
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
@@ -427,61 +427,66 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
                gamma: float) -> tuple[list[float], int]:
     """The schedule (a length per pending packet, 0 unscheduled, and a fresh
     multiset) of `size` slots with pending packets at `positions`, given f
-    per ctx.retx_lengths: branch and bound over the pending packets, the
-    fresh ones in the best multiset that fits what is left, solved only
-    where a leaf could win (`fresh_levels`)."""
+    per ctx.retx_lengths: a multiple-choice knapsack DP over the pending
+    packets and the units left, the fresh packets in the best multiset that
+    fits what is left (`fresh_levels`, solved only where a leaf could win).
+
+    Partials with the same units left get the same completions, fresh
+    multiset included, so their tie-break on the vector compares the pending
+    lengths.  Totals, summed in packet order, are at most `size`: the at
+    most n + 1 roundings of a completion (n pending packets) cannot close a
+    gap above `slack`, but within it two totals can round to one, so each
+    count keeps its front."""
     a_tilde, step = ctx.table.a_tilde, math.isinf(ctx.table.a_tilde)
     succ = [1.0 - (1.0 if gamma < th else 0.0 if step else math.exp(-a_tilde * (gamma / th - 1.0)))
             for th in ctx.primary_th]
     vals, bound, fresh = ctx.fresh_levels(ctx.fresh_counts.dot(succ), size - len(positions))
     npkts, level_at, options = ctx.npkts, ctx.level_at, ctx.retx_options
-    # a packet's value is 1 - f; not sending it adds 0.0, which leaves every sum as it was
-    values = [[0.0] + [1.0 - f for f in row] for row in fails]
-    n, suffix_best = len(values), list(accumulate([max(v) for v in values[::-1]], initial=0.0))[::-1]
-    # the best leaf, [(-total, scheduled), lengths, multiset, vector], and its total
-    top, floor = [(math.inf, 0), None, None, None], -math.inf
-
-    def dfs(i: int, nf_lengths: list[float], cap_units: int, value: float, scheduled: int):
-        nonlocal top, floor
-        if value + suffix_best[i] + bound[level_at[cap_units]] < floor - 1e-12:
-            return
-        if i < n - 1:  # shortest first: a good best leaf early prunes more; the winner is the same
-            for (length, units, s), val in zip(options[::-1], values[i][::-1]):
-                if units <= cap_units:
-                    dfs(i + 1, nf_lengths + [length], cap_units - units, value + val,
-                        scheduled + s)
-            return
-        # the leaves: only one whose value and level maximum reach the best solves its level
-        for (length, units, s), val in zip(options, values[i]):
-            if units > cap_units:
+    slack = (len(fails) + 1) * math.ulp(size)
+    # (units left, rank (-value, scheduled, lengths)) of the partials; a packet's value is
+    # 1 - f, and not sending it adds 1.0 - 1.0 = 0.0.  neg - val is -(value + val) exactly
+    partials = [(ctx.unit, (-0.0, 0, []))]
+    for i, row in enumerate(fails):
+        values = [0.0] + [1.0 - f for f in row]
+        partials = [(cap - units, (neg - val, scheduled + s, lengths + [length]))
+                    for cap, (neg, scheduled, lengths) in partials
+                    for (length, units, s), val in zip(options, values) if units <= cap]
+        if i < len(fails) - 1:  # the last packet's partials are the leaves
+            # per count, the best and each partial within slack of it that schedules less
+            # (scheduled, then lengths) than every one ranked before it
+            fronts = {}
+            for cap, rank in sorted(partials):
+                front = fronts.setdefault(cap, [rank])
+                if rank[0] - front[0][0] <= slack and rank[1:] < front[-1][1:]:
+                    front.append(rank)
+            partials = [(cap, rank) for cap, front in fronts.items() for rank in front]
+    # the leaves: only one whose value and level maximum reach the best solves its level
+    # the best leaf, [(-total, scheduled), lengths, multiset, vector]
+    top = [(math.inf, 0), None, None, None]
+    for cap, (neg, scheduled, lengths) in partials:
+        level, v = level_at[cap], -neg
+        if v + bound[level] < -top[0][0]:
+            continue
+        j = fresh(level)
+        key, vector = (-(v + vals[j]), scheduled + npkts[j]), None
+        if key > top[0]:
+            continue
+        if key == top[0]:  # the smaller vector wins (one multiset: the pending part)
+            if j == top[2] and lengths >= top[1]:
                 continue
-            level, v = level_at[cap_units - units], value + val
-            if v + bound[level] < floor:
-                continue
-            j = fresh(level)
-            key, vector = (-(v + vals[j]), scheduled + s + npkts[j]), None
-            if key > top[0]:
-                continue
-            if key == top[0]:  # the smaller vector wins (one multiset: the pending part)
-                if j == top[2] and nf_lengths + [length] >= top[1]:
+            if j != top[2]:
+                top[3] = top[3] or _vl_vector(positions, top[1], ctx.fresh_lengths[top[2]], size)
+                vector = _vl_vector(positions, lengths, ctx.fresh_lengths[j], size)
+                if vector >= top[3]:
                     continue
-                if j != top[2]:
-                    top[3] = top[3] or _vl_vector(positions, top[1], ctx.fresh_lengths[top[2]], size)
-                    vector = _vl_vector(positions, nf_lengths + [length], ctx.fresh_lengths[j], size)
-                    if vector >= top[3]:
-                        continue
-            top, floor = [key, nf_lengths + [length], j, vector], -key[0]
-
-    if not n:
-        return [], fresh(level_at[ctx.unit])
-    dfs(0, [], ctx.unit, 0.0, 0)
+        top = [key, lengths, j, vector]
     return top[1], top[2]
 
 
 def vl_schedule(buffer: list[PacketState], gamma: float, harq: HarqConfig,
                 table: McsTable, ctx: _VlContext | None = None) -> list[float]:
     """Length assignment maximizing the expected number of decoded packets
-    this block within the unit budget, exhaustive over the pending packets
+    this block within the unit budget, exact over the pending packets
     (`_vl_search`) with the fresh ones in the best feasible multiset.  Ties
     prefer fewer scheduled packets, then the smallest assignment vector.
     The engine does not call it: it keeps each pending packet as a
@@ -558,7 +563,8 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     path (agreeing with the scalar path unless two multisets' values fall
     within an ulp of the 1e-12 tie margin), and a run of such blocks reads
     its uniforms at a cumsum of their packet counts up to the first NACK.
-    That block and each with pending packets (`_vl_search`) update them.
+    That block and each with pending packets update them; the latter are
+    scheduled by `_vl_search`, whose DP is linear in their count.
     """
     if channel.fading_mode is not FadingMode.FAST:
         raise ValueError("variable-length HARQ is simulated for fast fading only")

@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -336,7 +338,7 @@ def test_vl_schedule_respects_budget_and_is_exhaustive():
     for gamma in (0.4, 2.0, 20.0):
         assign = vl_schedule(buffer, gamma, VL_HARQ, VL_TABLE, ctx)
         assert sum(assign) <= 1.0 + 1e-9
-        got = _expected_acks(buffer, assign, gamma, ctx)
+        got = _expected_acks(buffer, assign, gamma, ctx, VL_TABLE)
         # brute force over every feasible assignment of the two pending
         # packets plus fresh multisets
         lengths = (0.0,) + ctx.retx_lengths
@@ -354,7 +356,7 @@ def test_vl_schedule_respects_budget_and_is_exhaustive():
                                for _ in range(n))
                 for slot, length in zip(range(2, 2 + len(fresh)), fresh):
                     cand[slot] = length
-                best = max(best, _expected_acks(buffer, cand, gamma, ctx))
+                best = max(best, _expected_acks(buffer, cand, gamma, ctx, VL_TABLE))
         assert got == pytest.approx(best, abs=1e-9)
 
 
@@ -381,16 +383,16 @@ def test_vl_schedule_without_ctx_builds_one_context(monkeypatch):
     assert built == [(VL_HARQ, VL_TABLE)]
 
 
-def _expected_acks(buffer, assign, gamma, ctx):
+def _expected_acks(buffer, assign, gamma, ctx, table):
     total = 0.0
     for pkt, length in zip(buffer, assign):
         if length == 0.0:
             continue
         if pkt.harq_count == 0:  # first transmission: aggregate is the block SNR
-            total += 1.0 - per(ctx.len_to_l[length], gamma, VL_TABLE)
+            total += 1.0 - per(ctx.len_to_l[length], gamma, table)
         else:
             l = ctx.len_to_l[pkt.first_len]
-            total += 1.0 - _oracle_failure_probs(pkt, (length,), gamma, VL_TABLE, l)[0]
+            total += 1.0 - _oracle_failure_probs(pkt, (length,), gamma, table, l)[0]
     return total
 
 
@@ -749,13 +751,15 @@ def _random_buffers(ctx, table, max_pending, count, seed):
         yield buffer, gammas[n % len(gammas)]
 
 
-# The search is exponential in the pending count, the oracle's and
-# vl_schedule's alike, so the default config stops at 5.  The pending counts
-# the default config's searches see (10^5 blocks, seed 10, stream 6) are
-# {1: 10644, 2: 603, 3: 8} at 0 dB, {1: 15431, 2: 2311, 3: 225, 4: 12} at
-# 10 dB and {1: 4136, 2: 649, 3: 84, 4: 11} at 20 dB.
+# The oracle's search is exponential in the pending count, while
+# vl_schedule's DP is linear in it, so the oracle bounds the cases: the
+# default config stops at 6 (full buffers are checked against a value-only
+# optimum below).  The pending counts the default config's searches see
+# (10^5 blocks, seed 10, stream 6) are {1: 10644, 2: 603, 3: 8} at 0 dB,
+# {1: 15431, 2: 2311, 3: 225, 4: 12} at 10 dB and
+# {1: 4136, 2: 649, 3: 84, 4: 11} at 20 dB.
 @pytest.mark.parametrize("harq, table, max_pending", [
-    (DEFAULT_VL_HARQ, TABLE, 5), (VL_HARQ, VL_TABLE, 12), (VL_HARQ, VL_STEP_TABLE, 12),
+    (DEFAULT_VL_HARQ, TABLE, 6), (VL_HARQ, VL_TABLE, 12), (VL_HARQ, VL_STEP_TABLE, 12),
     (VL_ONE_ROUND, VL_TABLE, 3),
 ], ids=["default", "a4", "step", "one-round"])
 def test_vl_schedule_equals_search_oracle(harq, table, max_pending):
@@ -765,3 +769,71 @@ def test_vl_schedule_equals_search_oracle(harq, table, max_pending):
     for buffer, gamma in _random_buffers(ctx, table, max_pending, 2000, seed=max_pending):
         assert (vl_schedule(buffer, gamma, harq, table, ctx)
                 == _oracle_vl_schedule(buffer, gamma, table, ctx)), (buffer, gamma)
+
+
+def test_vl_schedule_keeps_ties_that_round_together():
+    # every option has value 1.0 but slot 6's shortest, 1 - 2^-51.  Sending
+    # the shortest length in slots 3, 5, 6 and 7 and in two fresh packets of
+    # 0.25 totals 3 - 2^-51 after slot 6 and 6.0 in the end, as does sending
+    # slot 1 in place of slot 6, with 3.0 after slot 6: the smaller vector
+    # wins.  A DP that kept only the best partial per count of units left
+    # would drop the winner at slot 6
+    from harqlink.simulator import _VlContext
+    ctx = _VlContext(VL_HARQ, VL_TABLE)
+    buffer = [PacketState() for _ in range(ctx.buffer_cap)]
+    buffer[1] = buffer[7] = PacketState(harq_count=3, first_len=0.25, snr_sigma=26.10157215682533)
+    buffer[3] = PacketState(harq_count=1, first_len=1.0, snr_sigma=68.12920690579608)
+    buffer[5] = PacketState(harq_count=1, first_len=0.5, snr_sigma=10.0)
+    buffer[6] = PacketState(harq_count=2, first_len=1.0, snr_sigma=5.62341325190349)
+    gamma = 177.82794100389228
+    want = [0.0, 0.0, 0.0, 0.125, 0.0, 0.125, 0.125, 0.125, 0.0, 0.0, 0.25, 0.25]
+    assert _oracle_vl_schedule(buffer, gamma, VL_TABLE, ctx) == want
+    assert vl_schedule(buffer, gamma, VL_HARQ, VL_TABLE, ctx) == want
+
+
+def _value_optimum(buffer, gamma, table, ctx):
+    """The most expected ACKs of any schedule within the unit budget, by a
+    memoized recursion over (pending packet, units left) whose leaves take
+    the best fresh value of the masked rule (`_oracle_levels`), with no
+    tie-break."""
+    from functools import lru_cache
+    pending = [pkt for pkt in buffer if pkt.harq_count]
+    options = [[(ctx.units[length], 1.0 - f) for length, f in zip(
+        ctx.retx_lengths, _oracle_failure_probs(pkt, ctx.retx_lengths, gamma, table,
+                                                ctx.len_to_l[pkt.first_len]))]
+               for pkt in pending]
+    succ = np.array([1.0 - per(ctx.len_to_l[length], gamma, table) for length in ctx.primary])
+    _, top = _oracle_levels(ctx, ctx.fresh_counts @ succ, len(buffer) - len(pending))
+    levels = sorted(set(ctx.fresh_sets[1].tolist()))
+
+    @lru_cache(maxsize=None)
+    def best(i, cap):
+        if i == len(pending):
+            return top[bisect_right(levels, cap) - 1]
+        return max([best(i + 1, cap)] + [value + best(i + 1, cap - units)
+                                         for units, value in options[i] if units <= cap])
+    return best(0, ctx.unit)
+
+
+@pytest.mark.parametrize("pending", [12, 20])
+def test_vl_schedule_is_fast_and_optimal_on_full_buffers(pending):
+    # the exhaustive search took 2-15 s per call at 12 pending packets of the
+    # default config; the DP over the units left takes milliseconds
+    from harqlink.simulator import _VlContext
+    ctx = _VlContext(DEFAULT_VL_HARQ, TABLE)
+    rng = np.random.default_rng(pending)
+    gammas = np.geomspace(1e-3, 1e4, 97).tolist()
+    sigmas = np.geomspace(1e-3, 1e2, 61).tolist()
+    for _ in range(5):
+        buffer = [PacketState() for _ in range(ctx.buffer_cap)]
+        for i in rng.permutation(ctx.buffer_cap)[:pending].tolist():
+            buffer[i] = PacketState(harq_count=int(rng.integers(1, 4)),
+                                    first_len=ctx.primary[int(rng.integers(len(ctx.primary)))],
+                                    snr_sigma=sigmas[int(rng.integers(len(sigmas)))])
+        gamma = gammas[int(rng.integers(len(gammas)))]
+        start = time.perf_counter()
+        assign = vl_schedule(buffer, gamma, DEFAULT_VL_HARQ, TABLE, ctx)
+        assert time.perf_counter() - start < 0.5
+        assert sum(ctx.units[length] for length in assign if length) <= ctx.unit
+        assert _expected_acks(buffer, assign, gamma, ctx, TABLE) == pytest.approx(
+            _value_optimum(buffer, gamma, TABLE, ctx), abs=1e-9)
