@@ -692,6 +692,62 @@ def test_region_masses_equal_an_exactly_summed_trapezoid(combining):
                 assert abs(got[k, r] - want) <= 1e-15 * p, (db, k, r, regions)
 
 
+# float.hex of _region_masses' (K - 1, L) rows, taken before the IR chain
+# stopped recomputing the grid and exp(-x / avg_snr) and evaluating PER
+# where it is exactly 0 or 1: amc-exact regions from -20 to 30 dB (-20 and
+# -15 dB take the branch that caps rows reaching 1, -15 dB for rate 1 from
+# 0), and slow-optimal interval regions, whose rates that start above 0
+# sum the clipped rows
+_REGION_MASS_PINS = [
+    (4.0, 4, -20.0, "exact", (
+        "0x1.0000022f1383ep+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.0000022f1383ep+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.0000022f1383ep+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",)),
+    (4.0, 4, -5.0, "exact", (
+        "0x1.5c0b8140964a0p-1 0x1.a979d14bffef9p-14 0x1.7c3335e8cd8bfp-26 0x1.35d04d137f347p-47 0x0.0p+0",
+        "0x1.914c80a6250b1p-2 0x1.e5f49414fcd89p-16 0x1.d8123547eb9f8p-28 0x1.8ccf12611c8bdp-49 0x0.0p+0",
+        "0x1.7709793a29134p-3 0x1.06ae7686b7d43p-17 0x1.1493505bbd1a6p-29 0x1.df0f7607a4c9ep-51 0x0.0p+0",)),
+    (4.0, 4, 10.0, "exact", (
+        "0x1.70c34d678341ep-9 0x1.d781bcb948e02p-13 0x1.0701ba1f47142p-12 0x1.c1551f9d1513fp-13 0x1.066f896028711p-13",
+        "0x1.0a668a7745157p-14 0x1.5cfae4e898cb2p-19 0x1.ab8b67966f472p-19 0x1.79a975eb3d0e3p-19 0x1.be2d15f503255p-20",
+        "0x1.23e67f44d9311p-20 0x1.da8d4388240a8p-26 0x1.3d0f90470182cp-25 0x1.20b8fd05f37e0p-25 0x1.58760c568bbf0p-26",)),
+    (4.0, 4, 30.0, "exact", (
+        "0x1.3ec910c73703fp-22 0x1.f7792e670cb16p-26 0x1.7b777c4fc3903p-25 0x1.108f65402d112p-24 0x1.85a1d7ae21f61p-24",
+        "0x1.287b6217e452ep-34 0x1.e0be80eec92c7p-39 0x1.8ce6e7d91c104p-38 0x1.255fee2d149fep-37 0x1.a42e1860638f4p-37",
+        "0x1.a1c22fbe05968p-47 0x1.a5542dd4528d8p-52 0x1.7a982b934c56bp-51 0x1.1f5956bb47cbbp-50 0x1.9c9373a57c4afp-50",)),
+    (math.inf, 2, -20.0, "exact", (
+        "0x1.0000022f1383ep+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",)),
+    (math.inf, 2, -5.0, "exact", (
+        "0x1.2a7513ec0bb76p-1 0x1.19e4e9be6fa1ap-33 0x1.040d891f65fbcp-43 0x1.08284c659726ep-54 0x1.2a87e6a654b09p-79",)),
+    (math.inf, 2, 10.0, "exact", (
+        "0x1.e47a047335be0p-10 0x1.118b66aedba19p-32 0x1.eb9511d942e5dp-33 0x1.10eb6a34fbb84p-33 0x1.727df3b0b4d49p-31",)),
+    (math.inf, 2, 30.0, "exact", (
+        "0x1.9d8705454d8ecp-23 0x1.f9ff79869886ep-46 0x1.c22bd663997fap-43 0x1.63f5bbe7595f6p-43 0x1.86100adb43686p-41",)),
+    (4.0, 2, -15.0, "exact", (
+        "0x1.00000130cc617p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",)),
+    (math.inf, 4, 10.0, "exact", (
+        "0x1.e47a047335be0p-10 0x1.118b66aedba19p-32 0x1.eb9511d942e5dp-33 0x1.10eb6a34fbb84p-33 0x1.727df3b0b4d49p-31",
+        "0x1.17384e41f71eap-15 0x1.53f6fc4ed666fp-48 0x1.30f4bc55d21a9p-48 0x1.5414124160c93p-49 0x1.cc1d0a88b499dp-47",
+        "0x1.dbccf6c5e4f01p-22 0x1.84302845ca655p-63 -0x1.72ccb79abef2cp-59 0x1.808eb128e3731p-57 -0x1.b5f34ae7f04ddp-58",)),
+    (4.0, 4, 10.0, "slow-optimal", (
+        "0x1.1cd6db6fe4f88p-9 0x1.09d1aa58587d4p-9 0x1.d22d3307d2c8fp-8 0x1.654563d711efap-6 0x1.bc08db0efd570p-5",
+        "0x1.d6b6428f036f4p-15 0x1.7f7017164de39p-14 0x1.005a3c35a6289p-11 0x1.b767349ad3577p-10 0x1.47c48fdf0103cp-8",
+        "0x1.1084786b31c04p-20 0x1.6a4d4ef017814p-19 0x1.6892bf0e62922p-16 0x1.61bebd15d0b2bp-14 0x1.387323c64bc69p-12",)),
+    (math.inf, 2, -5.0, "slow-optimal", (
+        "0x1.2a7513c0bb518p-1 0x1.2bc65f611b981p-4 0x1.446efc5f5a253p-6 0x1.74f9fd6fc353bp-9 0x1.b7b7ce10b8166p-13",)),
+]
+
+
+@pytest.mark.parametrize("a_tilde, K, snr_db, source, want", _REGION_MASS_PINS)
+def test_region_masses_are_pinned(a_tilde, K, snr_db, source, want):
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    regions = (amc_thresholds_exact(table) if source == "exact"
+               else slow_optimal_regions(K, CombiningType.IR, table))
+    l, lows, highs = regions.labelled_intervals()
+    got = harq_analysis._region_masses(l, lows, highs, K, table, 10.0 ** (snr_db / 10.0))
+    assert [" ".join(float(v).hex() for v in row) for row in got] == list(want)
+
+
 @pytest.mark.parametrize("a_tilde", [1.0, 4.0, math.inf])
 def test_rr_masses_match_an_exact_reference(a_tilde):
     # the RR masses that fast_throughput takes for fixed regions (among them
