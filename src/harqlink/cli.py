@@ -201,13 +201,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _pool_pays(spec: SweepSpec) -> bool:
+    """Whether some point of the sweep does grid, optimizer or Monte Carlo
+    work, which alone repays forking a process pool: the Monte Carlo
+    schemes, fast harq-ir, and, on fast-fading optimized regions, every
+    scheme that optimizes them.  Slow-fading points take closed forms and
+    quadratures, and slow-optimized regions come made (`_slow_regions`)."""
+    working = {"pd-harq", "vl-harq"}
+    if spec.fading == "fast":
+        working.add("harq-ir")
+        if spec.region_source == "optimized":
+            working |= {"harq-rr", "harq-2r-bound"}
+    return not working.isdisjoint(spec.schemes)
+
+
 def run_sweep(spec: SweepSpec) -> list[str]:
     """All sweep rows as CSV lines (header included), sorted by (scheme, snr).
-    One task, in the process pool when there are several, runs each SNR."""
+    One task runs each SNR, in a process pool when there are several tasks
+    and workers and the sweep can pay for the pool (`_pool_pays`)."""
     tasks = range(len(spec.snr_points_db()))
     slow_regions = _slow_regions(spec)
     workers = int(os.environ.get("HARQLINK_WORKERS", os.cpu_count() or 1))
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(tasks) > 1 and _pool_pays(spec):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_snr = list(pool.map(_sweep_snr, [spec] * len(tasks),
                                     [slow_regions] * len(tasks), tasks))

@@ -99,6 +99,15 @@ def mutual_information_inv(bits):
     return out if out.ndim else float(out)
 
 
+def _mi_inv_steps(step: float, out: np.ndarray) -> np.ndarray:
+    """mutual_information_inv(i * step) for i < out.size, bit for bit, written
+    into out."""
+    np.multiply(np.arange(out.size), step, out=out)
+    out *= _LN2
+    with np.errstate(over="ignore"):
+        return np.expm1(out, out=out)
+
+
 def per_at(gamma, threshold, a_tilde: float):
     """Packet error rate at SNR gamma >= 0 for a decoding threshold.
 
@@ -127,6 +136,30 @@ def per(l: int, gamma, table: McsTable):
     """Packet error rate of MCS l at (aggregate) SNR gamma; vectorized over gamma."""
     table._check_index(l)
     return per_at(gamma, table.thresholds[l - 1], table.a_tilde)
+
+
+# exp(-z) rounds to 0 for z above about 745.13
+_EXP_UNDERFLOW = 746.0
+
+
+def _per_grid(x: np.ndarray, threshold: float, a_tilde: float, out: np.ndarray) -> np.ndarray:
+    """per_at(x, threshold, a_tilde) into out, bit for bit, for an ascending
+    x >= 0, with exp only where the PER is neither 1 nor 0.  Below the
+    threshold x / threshold - 1 <= 0, which per_at's max with 0 turns into
+    exp(-0.0) = 1; from it on x / threshold >= 1, so the max does nothing,
+    up to where the exponent passes -_EXP_UNDERFLOW and exp gives 0.  For
+    a_tilde = inf the PER is a step at the threshold."""
+    lo = int(np.searchsorted(x, threshold))  # the first x >= threshold
+    hi = lo if math.isinf(a_tilde) else int(
+        np.searchsorted(x, threshold * (1.0 + _EXP_UNDERFLOW / a_tilde)))
+    out[:lo] = 1.0
+    tail = out[lo:hi]
+    np.divide(x[lo:hi], threshold, out=tail)
+    tail -= 1.0
+    tail *= -a_tilde
+    np.exp(tail, out=tail)
+    out[hi:] = 0.0
+    return out
 
 
 def first_round_cum(l, x, table: McsTable, avg_snr: float) -> np.ndarray:

@@ -28,8 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .amc import DecisionRegions, ThroughputEstimate, _interval_masses
-from .coding import (CombiningType, McsTable, _erlang_phi, first_round_cum, mutual_information,
-                     mutual_information_inv, per, per_at)
+from .coding import (CombiningType, McsTable, _erlang_phi, _mi_inv_steps, _per_grid,
+                     first_round_cum, mutual_information, mutual_information_inv, per, per_at)
 
 
 class HarqVariant(Enum):
@@ -210,6 +210,11 @@ def _work_arrays(**arrays: tuple) -> dict[str, np.ndarray]:
     every row, 96k with arrays made by a thread's first build and reused,
     and under 60 with arrays that outlive the build; the spectral region
     masses took 67k with three separate work arrays and 3 with one block.
+    Every array of the IR chain that is not a spectrum is a work array,
+    the 2n-point grid, exp(-x / avg_snr) and the PER row among them, so no
+    call repeats the grid's or the exponential's n-point passes, and the
+    warm sweep still takes 2-5 faults; making those arrays afresh in every
+    call took 121k and ran 20 % slower.
     """
     _work.arrays = {name: np.empty(shape, dtype) for name, (shape, dtype) in arrays.items()}
     return _work.arrays
@@ -218,8 +223,15 @@ def _work_arrays(**arrays: tuple) -> dict[str, np.ndarray]:
 def _mi_grid(avg_snr: float, n: int) -> tuple[float, np.ndarray]:
     """The step dv and the n-point grid x_i = 2**(i dv) - 1, uniform in the
     MI domain over [0, _SPAN * avg_snr]."""
+    return _mi_grid_into(avg_snr, n, np.empty(n))
+
+
+def _mi_grid_into(avg_snr: float, n: int, out: np.ndarray) -> tuple[float, np.ndarray]:
+    """_mi_grid's step dv and its points x_i for i < out.size, written into
+    out.  IR reads the PER on the grid's 2n-point extension; every point is
+    computed on its own, so the first n are the n-point grid's bits."""
     dv = mutual_information(_SPAN * avg_snr) / n
-    return dv, mutual_information_inv(np.arange(n) * dv)
+    return dv, _mi_inv_steps(dv, out)
 
 
 def _grid_cell(g: np.ndarray, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,7 +267,9 @@ class FastFadingTables:
 
     The IR trapezoid and row chain write with out= into work arrays
     (`_work_arrays`) that the build makes after its own x and cum, in the
-    arithmetic of the allocating build, so every `cum` bit is the same.
+    arithmetic of the allocating build, so every `cum` bit is the same.  An
+    IR build makes one 2n-point grid, whose first n points are x, and one
+    exp(-x / avg_snr), which both pdf and p_1 take (`_ir_spectra`).
     """
 
     def __init__(self, table: McsTable, K: int, combining: CombiningType,
@@ -270,7 +284,11 @@ class FastFadingTables:
         self.avg_snr = avg_snr
 
         n = n_grid
-        dv, self.x = _mi_grid(avg_snr, n)
+        if combining is CombiningType.IR:  # the grid, and its extension for the rows
+            dv, x_ext = _mi_grid_into(avg_snr, n, np.empty(2 * n))
+            self.x = x_ext[:n]
+        else:
+            dv, self.x = _mi_grid(avg_snr, n)
         L = table.num_rates
         self.cum = np.empty((K - 1, L, n))
         self.cum[:, :, 0] = 0.0
@@ -283,13 +301,16 @@ class FastFadingTables:
                 self._phi0[:, l] = phi[:, 0]  # x_0 = 0
                 np.subtract(phi[:, :1], phi, out=self.cum[:, l])
             return
-        pdf = np.exp(-self.x / avg_snr) / avg_snr
-        dx = np.diff(self.x)
-        work = _work_arrays(y=(n, float), t=(n - 1, float), row=(n, float),
+        work = _work_arrays(e=(n, float), pdf=(n, float), per_row=(2 * n, float), p=(n, float),
+                            y=(n, float), t=(n - 1, float), row=(n, float),
                             p_conj=(n + 1, complex), product=(n + 1, complex))
-        y, t, row, p_conj, product = work.values()
-        g_spectra, density_spectra = _ir_spectra(table, K, n, dv, self.x, avg_snr)
-        g_spectra = list(g_spectra)
+        e, pdf, per_row, p, y, t, row, p_conj, product = work.values()
+        np.divide(self.x, -avg_snr, out=e)  # -x / avg_snr, as x / -avg_snr rounds the same
+        np.exp(e, out=e)
+        np.divide(e, avg_snr, out=pdf)
+        dx = np.diff(self.x)
+        rate_spectrum, density_spectra = _ir_spectra(table, K, dv, x_ext, e, avg_snr, per_row, p)
+        g_spectra = [rate_spectrum(l) for l in range(L)]
         # cum[k, l] of rounds k + 2 and rate l + 1, k outer, from the row
         # f = irfft(G_{l+1} conj(P_{k+1}), 2n)[:n] dv, clipped to [0, 1]
         for k, p_spectrum in enumerate(density_spectra):
@@ -342,26 +363,41 @@ class FastFadingTables:
         return float(np.sum(reward[0] - reward[1])), float(np.sum(cost[0] - cost[1]))
 
 
-def _ir_spectra(table: McsTable, K: int, n: int, dv: float, x, avg_snr: float):
-    """The spectra that IR rows are made of, on the 2n-point extension of the
-    grid x: a generator of G_l = rfft(PER_l) for every rate, and one of
-    P_{k-1}, the rfft of the zero-padded density p_{k-1} of the MI summed
-    over k - 1 rounds, for k = 2..K.  p_1 is one round's MI density and
-    p_{s+1} = p_s * p_1 a self-convolution, whose n kept points do not
-    wrap at 2n, so each density spectrum also serves the next density."""
-    x_ext = mutual_information_inv(np.arange(2 * n) * dv)
-    g_spectra = (np.fft.rfft(per(l, x_ext, table)) for l in range(1, table.num_rates + 1))
+def _ir_spectra(table: McsTable, K: int, dv: float, x_ext: np.ndarray, e: np.ndarray,
+                avg_snr: float, per_row: np.ndarray, p: np.ndarray):
+    """The spectra that IR rows are made of, on the 2n-point extension x_ext
+    of the grid x = x_ext[:n]: a function that gives G_l = rfft(PER_l) of the
+    0-based rate l, and a generator of P_{k-1}, the rfft of the zero-padded
+    density p_{k-1} of the MI summed over k - 1 rounds, for k = 2..K.  p_1
+    = ln 2 (1 + x) e / avg_snr is one round's MI density, with e =
+    exp(-x / avg_snr) the caller's, and p_{s+1} = p_s * p_1 a
+    self-convolution, whose n kept points do not wrap at 2n, so each
+    density spectrum also serves the next density.
+
+    The caller makes x_ext and e once and uses them too (x and pdf), so
+    neither the grid nor the exponential is made twice.  PER_l goes into
+    the work array per_row (2n points), with exp only where it is neither
+    1 nor 0 (`coding._per_grid`, bit for bit per()), and each density into
+    p (n points), in the operations and order of the chain that made them
+    afresh, so every spectrum has the same bits."""
+    n = p.size
+
+    def rate_spectrum(l: int) -> np.ndarray:
+        return np.fft.rfft(_per_grid(x_ext, table.thresholds[l], table.a_tilde, per_row))
 
     def density_spectra():
-        p = math.log(2.0) * (1.0 + x) * np.exp(-x / avg_snr) / avg_snr
+        np.add(x_ext[:n], 1.0, out=p)
+        np.multiply(p, math.log(2.0), out=p)
+        np.multiply(p, e, out=p)
+        np.divide(p, avg_snr, out=p)
         p1_spectrum = p_spectrum = np.fft.rfft(p, 2 * n)
         for k in range(2, K + 1):
             if k > 2:  # p becomes the density of the MI summed over k - 1 rounds
-                p = np.fft.irfft(p_spectrum * p1_spectrum, 2 * n)[:n] * dv
+                np.multiply(np.fft.irfft(p_spectrum * p1_spectrum, 2 * n)[:n], dv, out=p)
                 p_spectrum = np.fft.rfft(p, 2 * n)
             yield p_spectrum
 
-    return g_spectra, density_spectra()
+    return rate_spectrum, density_spectra()
 
 
 def _rr_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float) -> np.ndarray:
@@ -408,40 +444,64 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
     never make the row; at -15 dB rate 1's, which starts at 0, and those
     that start past the grid's end do.
 
-    Its work array is one (L + 1, 2n + 2) block (`_work_arrays`): row l
-    holds c_l and then W_l, the last row the products that each sum adds.
+    No n-point pass only recomputes a value or only touches zeros, and
+    every mass keeps the bits of the chain that made each array afresh:
+    the 2n-point grid is made once and x is its first half, computed point
+    by point as the n-point grid is (`_mi_grid_into`); exp(-x / avg_snr) is
+    made once for W_l and p_1 (`_ir_spectra`), with x / -avg_snr, which
+    rounds as -x / avg_snr does; PER_l takes exp only where it is neither 1
+    nor 0 (`coding._per_grid`).  c_l and W_l are formed only over the cells
+    that rate l's regions cover, in the same operations in the same order,
+    and W_l is 0 elsewhere, as 0 * pdf was; a rate with no region makes no
+    G_l.  At 10 dB a call took 14.9 ms before and 12.4 ms after (medians of
+    40 alternating calls), of which 15 length-2n FFTs are about 8 ms.
+
+    All of its arrays but the spectra live in one (6, 2n + 2) work block
+    (`_work_arrays`): the 2n-point grid, PER_l and the products that each
+    sum adds; exp(-x / avg_snr) and pdf / 2; the density and c_l; W_l.
     """
     L, n = table.num_rates, _GRID_POINTS
     masses = np.zeros((K - 1, L))
     if K < 2:
         return masses
-    dv, x = _mi_grid(avg_snr, n)
-    work = _work_arrays(block=((L + 1, 2 * n + 2), float))["block"]
-    covered, weights, product = work[:L, :n - 1], work[:L, n - 1:2 * n - 1], work[L]
+    block = _work_arrays(block=((6, 2 * n + 2), float))["block"]
+    x_ext, per_row, product = block[0, :2 * n], block[1, :2 * n], block[2]
+    e, half_pdf, p, covered = block[3, :n], block[3, n:2 * n], block[4, :n], block[4, n:2 * n - 1]
+    weights = block[5, :n]
+    dv, _ = _mi_grid_into(avg_snr, n, x_ext)
+    x = x_ext[:n]
+    np.divide(x, -avg_snr, out=e)  # -x / avg_snr, as x / -avg_snr rounds the same
+    np.exp(e, out=e)
+    np.divide(e, avg_snr, out=half_pdf)
+    half_pdf /= 2.0
     rate = np.asarray(labels) - 1
     ja, _, off_a = _grid_cell(x, np.asarray(lows, dtype=float))
     jb, _, off_b = _grid_cell(x, np.asarray(highs, dtype=float))
-    covered.fill(0.0)
-    dx = np.diff(x)
-    for l, a, b, oa, ob in zip(rate, ja, jb, off_a, off_b):
-        covered[l, a:b] += dx[a:b]
-        covered[l, b] += ob
-        covered[l, a] -= oa
-    weights[:, :-1] = covered
-    weights[:, -1] = 0.0
-    weights[:, 1:] += covered
-    weights *= np.exp(-x / avg_snr) / avg_snr / 2.0
-    g_spectra, density_spectra = _ir_spectra(table, K, n, dv, x, avg_snr)
+    rate_spectrum, density_spectra = _ir_spectra(table, K, dv, x_ext, e, avg_snr, per_row, p)
     p_spectra = list(density_spectra)
     # dv p_{k-1}[0], an irfft at 0, and dv sum_j p_{k-1}[j], the zero bin
     p_first = [dv / (2 * n) * (2.0 * p.real.sum() - p[0].real - p[n].real) for p in p_spectra]
     p_mass = [dv * p[0].real for p in p_spectra]
-    for l, g in enumerate(g_spectra):
-        if not (rate == l).any():
-            continue
-        lo = ja[rate == l].min()
+    weights.fill(0.0)
+    for l in np.unique(rate):
+        mine = rate == l
+        lo, hi = ja[mine].min(), jb[mine].max()
+        # c_l on cells lo..hi, the widths of whole cells taken in weights as scratch
+        covered[lo:hi + 1] = 0.0
+        for a, b, oa, ob in zip(ja[mine], jb[mine], off_a[mine], off_b[mine]):
+            np.subtract(x[a + 1:b + 1], x[a:b], out=weights[a:b])
+            covered[a:b] += weights[a:b]
+            covered[b] += ob
+            covered[a] -= oa
+        # W_l on nodes lo..hi + 1, the only ones it does not hold 0 at
+        w = weights[lo:hi + 2]
+        w[:-1] = covered[lo:hi + 1]
+        w[-1] = 0.0
+        w[1:] += covered[lo:hi + 1]
+        w *= half_pdf[lo:hi + 2]
+        g = rate_spectrum(l)
         per_lo, per_next = per(l + 1, x[lo:lo + 2], table)
-        c = np.fft.rfft(weights[l], 2 * n)
+        c = np.fft.rfft(weights, 2 * n)
         np.conjugate(c, out=c)
         c *= g
         c[1:n] *= 2.0  # h
@@ -460,8 +520,9 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
                 row = product[:n]
                 np.multiply(np.fft.irfft(g * np.conjugate(p), 2 * n)[:n], dv, out=row)
                 np.clip(row, 0.0, 1.0, out=row)
-                row *= weights[l]
+                row *= weights
                 masses[k, l] = row.sum()
+        w.fill(0.0)
     return masses
 
 

@@ -460,13 +460,17 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
                 if rank[0] - front[0][0] <= slack and rank[1:] < front[-1][1:]:
                     front.append(rank)
             partials = [(cap, rank) for cap, front in fronts.items() for rank in front]
-    # the leaves: only one whose value and level maximum reach the best solves its level
+    # the leaves, highest value plus level maximum first: only one whose sum reaches the
+    # best total solves its level, and once one falls short so do all after it.  The
+    # best leaf is the least in a total order, so the visiting order cannot change it
     # the best leaf, [(-total, scheduled), lengths, multiset, vector]
     top = [(math.inf, 0), None, None, None]
-    for cap, (neg, scheduled, lengths) in partials:
+    leaves = sorted(((bound[level_at[cap]] - neg, cap, neg, scheduled, lengths)
+                     for cap, (neg, scheduled, lengths) in partials), reverse=True)
+    for reach, cap, neg, scheduled, lengths in leaves:
+        if reach < -top[0][0]:
+            break
         level, v = level_at[cap], -neg
-        if v + bound[level] < -top[0][0]:
-            continue
         j = fresh(level)
         key, vector = (-(v + vals[j]), scheduled + npkts[j]), None
         if key > top[0]:

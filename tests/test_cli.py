@@ -1,4 +1,5 @@
 import math
+import resource
 import shlex
 from collections import Counter
 from pathlib import Path
@@ -61,12 +62,25 @@ def test_sweep_csv_shape_and_determinism(monkeypatch):
 
 
 def test_sweep_parallel_matches_serial(monkeypatch):
-    spec = _spec(schemes=("amc", "harq-rr"))
+    spec = _spec(schemes=("amc", "harq-rr", "harq-ir"))  # harq-ir: the sweep makes a pool
     monkeypatch.setenv("HARQLINK_WORKERS", "1")
     serial = run_sweep(spec)
     monkeypatch.setenv("HARQLINK_WORKERS", "4")
     parallel = run_sweep(spec)
     assert serial == parallel
+
+
+def test_warm_fast_ir_sweep_takes_few_page_faults(monkeypatch):
+    # the IR region masses keep every work array in one block that outlives
+    # the call (harq_analysis._work_arrays): a second README-grid harq-ir
+    # sweep in one process takes single-digit minor faults, against 121k
+    # when the 2n-point arrays were made afresh in every call
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    spec = _spec(snr_db_start=-5.0, snr_db_stop=30.0, snr_db_step=1.0, schemes=("harq-ir",))
+    run_sweep(spec)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_sweep(spec)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 10_000
 
 
 def test_sweep_builds_one_table_and_one_optimization_per_snr_and_combining(monkeypatch):
@@ -126,6 +140,29 @@ def test_fixed_region_sweep_builds_no_tables(monkeypatch, region_source):
     lines, dump = run_sweep(spec), emit_thresholds(spec)
     assert len(lines) == 1 + 4 * 3 and len(dump) == 1 + 3 * 3 * 5
     assert tables == Counter()
+
+
+def test_sweep_pools_only_points_with_grid_optimizer_or_mc_work(monkeypatch):
+    # forking workers costs more than the closed forms and quadratures of
+    # slow-fading points and of fast amc, harq-rr and the bound take
+    monkeypatch.setenv("HARQLINK_WORKERS", "2")
+    pools = []
+    pool = cli.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", counted)
+    readme = ("amc", "harq-rr", "harq-ir", "harq-2r-bound")
+    run_sweep(_spec(schemes=readme, fading="slow"))
+    run_sweep(_spec(schemes=("amc", "harq-rr", "harq-2r-bound")))
+    assert pools == []
+    run_sweep(_spec(schemes=readme))
+    assert pools == [{"max_workers": 2}]
+    assert cli._pool_pays(_spec(schemes=("harq-rr",), region_source="optimized"))
+    assert cli._pool_pays(_spec(schemes=("pd-harq",), fading="slow"))
+    assert not cli._pool_pays(_spec(schemes=readme, region_source="optimized", fading="slow"))
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -298,8 +335,10 @@ def test_cli_bad_input_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--config", str(missing)]) == 2
     assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "amc", "--seed", "-1"]) == 2
     assert main(["sweep", "--snr-db", "0:5:5", "--schemes", "harq-ir", "--k", "0"]) == 2
-    # two SNR points, so with two workers the errors come from pool tasks
-    base = ["sweep", "--snr-db", "0:5:5", "--out", str(tmp_path / "x.csv")]
+    # two SNR points of a fast harq-ir sweep, so with two workers the
+    # errors come from pool tasks
+    base = ["sweep", "--snr-db", "0:5:5", "--schemes", "harq-ir",
+            "--out", str(tmp_path / "x.csv")]
     cfg = tmp_path / "run.cfg"
     for workers in ("1", "2"):
         monkeypatch.setenv("HARQLINK_WORKERS", workers)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harqlink.coding import (CombiningType, McsTable, mutual_information,
-                             mutual_information_inv, per, snr_margin_delta)
-from harqlink.harq_analysis import HarqConfig, HarqVariant
+from harqlink.coding import (_EXP_UNDERFLOW, CombiningType, McsTable, _per_grid,
+                             mutual_information, mutual_information_inv, per, snr_margin_delta)
+from harqlink.harq_analysis import _GRID_POINTS, HarqConfig, HarqVariant, _mi_grid_into
 from harqlink.simulator import _vl_aggregate
 
 TABLE = McsTable(rates=tuple(l * 0.75 for l in range(1, 6)), a_tilde=4.0)
@@ -49,6 +49,23 @@ def test_per_shape():
     out = per(3, np.array([0.0, th, 10 * th]), TABLE)
     assert out.shape == (3,)
     assert out[0] == 1.0
+
+
+@pytest.mark.parametrize("a_tilde", [0.5, 4.0, 10.0, math.inf])
+def test_per_grid_equals_per_bit_for_bit(a_tilde):
+    # the PER that the IR chain reads on the 2n-point MI grid, with exp only
+    # from the threshold to the cut past which it gives 0, against per() on
+    # the same points, -20 to 30 dB; the added points sit on both sides of
+    # each threshold, of the cut and of where exp starts to give 0
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    for db in range(-20, 31, 5):
+        _, x = _mi_grid_into(10.0 ** (db / 10.0), _GRID_POINTS, np.empty(2 * _GRID_POINTS))
+        for l, th in enumerate(table.thresholds, 1):
+            edges = [th] + [th * (1.0 + z / a_tilde) for z in (745.1332191019412, _EXP_UNDERFLOW)]
+            near = [np.nextafter(e, direction) for e in edges for direction in (0.0, math.inf)]
+            grid = np.sort(np.concatenate([x, edges, near]))
+            got = _per_grid(grid, th, a_tilde, np.empty_like(grid))
+            assert np.array_equal(got.view(np.uint64), per(l, grid, table).view(np.uint64)), (db, l)
 
 
 def test_snr_margin_values():
