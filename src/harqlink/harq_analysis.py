@@ -210,11 +210,10 @@ def _work_arrays(**arrays: tuple) -> dict[str, np.ndarray]:
     every row, 96k with arrays made by a thread's first build and reused,
     and under 60 with arrays that outlive the build; the spectral region
     masses took 67k with three separate work arrays and 3 with one block.
-    Every array of the IR chain that is not a spectrum is a work array,
-    the 2n-point grid, exp(-x / avg_snr) and the PER row among them, so no
-    call repeats the grid's or the exponential's n-point passes, and the
-    warm sweep still takes 2-5 faults; making those arrays afresh in every
-    call took 121k and ran 20 % slower.
+    Every array of the IR chain but its spectra is a work array, the
+    2n-point grid, exp(-x / avg_snr) and the PER row among them, and the
+    sweep takes 2-5; the same block made afresh in every region-mass call
+    took 61k and ran about 15 % slower.
     """
     _work.arrays = {name: np.empty(shape, dtype) for name, (shape, dtype) in arrays.items()}
     return _work.arrays
@@ -452,9 +451,8 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
     rounds as -x / avg_snr does; PER_l takes exp only where it is neither 1
     nor 0 (`coding._per_grid`).  c_l and W_l are formed only over the cells
     that rate l's regions cover, in the same operations in the same order,
-    and W_l is 0 elsewhere, as 0 * pdf was; a rate with no region makes no
-    G_l.  At 10 dB a call took 14.9 ms before and 12.4 ms after (medians of
-    40 alternating calls), of which 15 length-2n FFTs are about 8 ms.
+    and W_l is 0 elsewhere, as 0 * pdf_i / 2 is; a rate with no region
+    makes no G_l.
 
     All of its arrays but the spectra live in one (6, 2n + 2) work block
     (`_work_arrays`): the 2n-point grid, PER_l and the products that each
