@@ -29,7 +29,8 @@ import numpy as np
 
 from .amc import DecisionRegions, ThroughputEstimate, _interval_masses
 from .coding import (CombiningType, McsTable, _erlang_phi, _mi_inv_steps, _per_grid,
-                     first_round_cum, mutual_information, mutual_information_inv, per, per_at)
+                     first_round_cum, mutual_information, mutual_information_inv, per, per_at,
+                     per_erlang_rows)
 
 
 class HarqVariant(Enum):
@@ -261,8 +262,9 @@ class FastFadingTables:
     with the zero-padded p_{k-1} reaches index i + j <= 2n - 2 for the n
     outputs i < n a row keeps, so it never wraps.  The region optimizer, the
     only harqlink code that builds them, reads every region mass from
-    `cum_mass` and its renewal-reward sums from `renewal_sums`; so does
-    fast_throughput when it is given tables.
+    `cum_mass`, its renewal-reward sums from `renewal_sums` and its score
+    crossings from `cum_density`; fast_throughput, given tables, reads the
+    sums too.
 
     The IR trapezoid and row chain write with out= into work arrays
     (`_work_arrays`) that the build makes after its own x and cum, in the
@@ -346,6 +348,25 @@ class FastFadingTables:
             c0, c1 = self.cum[:, l - 1, j], self.cum[:, l - 1, j + 1]
             inner = (c1 - c0) / width * offset + c0
             out[2:] = np.where(x < g[-1], inner, c1)
+        return out
+
+    def cum_density(self, l, x) -> np.ndarray:
+        """The x-derivatives of the `cum_mass` rows, pdf * f_{k,l}(x) for
+        k = 0..K, shaped as they are: f_0 = 1 and f_1 = PER_l; for k >= 2
+        `per_erlang_rows` for RR, exact, and for IR the slope of cum_mass's
+        linear interpolation in the cell that holds x, 0 from the grid's end
+        on, so a node takes the slope of the cell right of it."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((self.K + 1,) + np.broadcast_shapes(np.shape(l), x.shape))
+        out[0] = np.exp(-x / self.avg_snr) / self.avg_snr
+        out[1] = out[0] * per_at(x, np.asarray(self.table.thresholds)[np.asarray(l) - 1],
+                                 self.table.a_tilde)
+        if self.K > 1 and self.combining is CombiningType.RR:
+            out[2:] = out[0] * per_erlang_rows(l, x, self.K - 1, self.table, self.avg_snr)
+        elif self.K > 1:
+            j, width, _ = _grid_cell(self.x, x)
+            slope = (self.cum[:, l - 1, j + 1] - self.cum[:, l - 1, j]) / width
+            out[2:] = np.where(x < self.x[-1], slope, 0.0)
         return out
 
     def reward_cost(self, l, x) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,10 @@ The optimizer needs both as curves of each threshold, so it builds and
 holds the FastFadingTables of its problem (`renewal_sums`), the only code
 that does.  One term per threshold makes it an exact monotone DP over the
 tables' grid (`_curve_diffs`, `_grid_argmax`) inside Dinkelbach's
-iteration lambda <- N/C (W. Dinkelbach, Management Science 13(7), 1967),
-then polished off the grid by golden-section search on the exact ratio.
+iteration lambda <- N/C (W. Dinkelbach, Management Science 13(7), 1967).
+One more step at the grid-optimal lambda moves each threshold off the grid
+by the slow-fading rule: to the first float at which the higher rate's
+renewal score wins.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ import numpy as np
 
 from .amc import DecisionRegions, RegionKind, ThroughputEstimate, first_float_where
 from .coding import CombiningType, McsTable
-from .harq_analysis import FastFadingTables, slow_throughput_at
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .harq_analysis import FastFadingTables, _reward_cost, slow_throughput_at
 
 
 @dataclass(frozen=True)
@@ -80,41 +80,13 @@ def slow_optimal_regions(K: int, combining: CombiningType, table: McsTable) -> D
     L = table.num_rates
     per_l: list[list[tuple[float, float]]] = [[] for _ in range(L)]
     for lab, a, b in zip(labels, edges, edges[1:]):
-        ivs = per_l[lab - 1]
-        if ivs and ivs[-1][1] == a:
-            ivs[-1] = (ivs[-1][0], b)
-        else:
-            ivs.append((a, b))
+        per_l[lab - 1].append((a, b))
     return DecisionRegions(RegionKind.INTERVALS, intervals=tuple(tuple(iv) for iv in per_l))
 
 
 # ---------------------------------------------------------------------------
-# fast fading: monotone grid DP + Dinkelbach update + windowed polish
+# fast fading: monotone grid DP + Dinkelbach update + one crossing step
 # ---------------------------------------------------------------------------
-
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [a, b], endpoints included."""
-    best_x, best_v = a, f(a)
-    vb = f(b)
-    if vb > best_v:
-        best_x, best_v = b, vb
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    for x, v in ((x1, f1), (x2, f2)):
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
 
 def _curve_diffs(tables: FastFadingTables) -> tuple[np.ndarray, np.ndarray]:
     """Row l-2 holds N_{l-1} - N_l and C_{l-1} - C_l on tables.x: what
@@ -155,12 +127,15 @@ def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
     plus one term per threshold, so its maximum over 0 <= gamma_2 <= ... <=
     gamma_L on the table grid is an exact DP (`_grid_argmax`).  Dinkelbach's
     update lam <- N/C at that maximum, from lam = 0, stops when lam no longer
-    increases, at the grid-optimal ratio.  One polish sweep then runs
-    golden-section search on the exact ratio N/C, one threshold at a time,
-    within two grid cells of its DP index and inside its neighbours, and
-    keeps a move only if the ratio strictly increases.  A threshold equal to
-    its neighbour gives a degenerate region.  The returned throughput is
-    the ratio N/C at the returned thresholds on this call's tables.
+    increases, at the grid-optimal ratio.  One step at that lam then moves
+    every threshold with non-empty regions on both sides, within two grid
+    cells of its DP node and not past its neighbours' nodes, to the first
+    float where the upper rate's renewal score (`cum_density`) reaches the
+    lower's, if it loses at the window's low end and wins at its high end;
+    the step is kept if the thresholds stay ordered and the ratio strictly
+    increases.  A threshold equal to its neighbour gives a degenerate
+    region.  The returned throughput is the ratio N/C at the returned
+    thresholds on this call's tables.
     """
     tables = FastFadingTables(table, K, combining, avg_snr)
     x = tables.x
@@ -183,23 +158,22 @@ def fast_optimize_regions(K: int, combining: CombiningType, table: McsTable,
         lam, idx = reward / cost, new_idx
 
     bounds = np.concatenate([[0.0], x[idx], [math.inf]])
-    throughput = lam
-    for l, i in enumerate(idx, start=1):  # bounds[l] is gamma_{l+1}
-        lo = max(x[max(i - 2, 0)], bounds[l - 1])
-        hi = min(x[min(i + 2, x.size - 1)], bounds[l + 1])
+    node, i, lower = bounds[1:-1], np.array(idx, dtype=int), labels[:-1]
 
-        def ratio(v, l=l):
-            g = bounds.copy()
-            g[l] = v
-            r, c = tables.renewal_sums(labels, g[:-1], g[1:])
-            return r / c
+    def upper_wins(v):  # s_l = R_l (1 - f_K) - lam (1 + sum_{k<K} f_k), times the pdf
+        (r_lo, c_lo), (r_up, c_up) = (
+            _reward_cost(np.asarray(table.rates)[l - 1], tables.cum_density(l, v), K)
+            for l in (lower, lower + 1))
+        return r_up - lam * c_up >= r_lo - lam * c_lo
 
-        if hi > lo:
-            v, eta = _golden_max(ratio, lo, hi, tol=1e-10 * max(hi, 1.0))
-            if eta > throughput:
-                bounds[l], throughput = v, eta
-
-    gamma = bounds[:-1]
+    lo = np.maximum(x[np.maximum(i - 2, 0)], bounds[:-2])
+    hi = np.minimum(x[np.minimum(i + 2, x.size - 1)], bounds[2:])
+    moves = (bounds[:-2] < node) & (node < bounds[2:]) & ~upper_wins(lo) & upper_wins(hi)
+    step = first_float_where(upper_wins, np.where(moves, lo, node), np.where(moves, hi, node))
+    gamma = np.append(0.0, step)
+    reward, cost = tables.renewal_sums(labels, gamma, np.append(step, math.inf))
+    kept = reward / cost > lam and np.all(np.diff(gamma) >= 0.0)
+    gamma, throughput = (gamma, reward / cost) if kept else (bounds[:-1], lam)
     _, _, (reward, cost) = grid_max(throughput)
     return FastOptimizeResult(
         regions=DecisionRegions(RegionKind.THRESHOLDS, thresholds=tuple(gamma)),

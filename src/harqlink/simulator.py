@@ -529,19 +529,17 @@ def _vl_commit(entries: list, gamma: float, max_rounds: int, make) -> tuple:
 
 
 def vl_update(buffer: list[PacketState], assignment: list[float], gamma: float,
-              outcomes: list[bool], harq: HarqConfig,
-              folded: list[float | None] | None = None) -> tuple[list[PacketState], int, int]:
-    """Apply per-packet ACK/NACK outcomes (`_vl_commit`, with `folded` its
-    folds or None) and top the buffer up with fresh packets, to max_rounds
-    per primary length; returns (new buffer, acked, drops)."""
+              outcomes: list[bool], harq: HarqConfig) -> tuple[list[PacketState], int, int]:
+    """Apply per-packet ACK/NACK outcomes (`_vl_commit`) and top the buffer
+    up with fresh packets, to max_rounds per primary length; returns (new
+    buffer, acked, drops)."""
     if not (len(assignment) == len(outcomes) == len(buffer)):
         raise ValueError("assignment/outcomes must align with the buffer")
     if len(buffer) > (cap := harq.max_rounds * len(harq.lengths_primary)):
         raise ValueError("buffer exceeds its capacity")
     slots, pend, acked, drops = _vl_commit(
-        [(x, pkt if pkt.harq_count else None, length, ack, fold)
-         for x, (pkt, length, ack, fold) in enumerate(zip(buffer, assignment, outcomes,
-                                                          folded or [None] * len(buffer)))
+        [(x, pkt if pkt.harq_count else None, length, ack, None)
+         for x, (pkt, length, ack) in enumerate(zip(buffer, assignment, outcomes))
          if pkt.harq_count or length], gamma, harq.max_rounds, PacketState)
     kept = dict(zip(slots, pend))  # every other slot holds a fresh packet
     return [kept.get(x) or PacketState() for x in range(cap)], acked, drops

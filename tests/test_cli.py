@@ -15,7 +15,7 @@ from harqlink.cli import (CSV_HEADER, DEFAULT_RATES, SweepSpec,
 from harqlink.coding import CombiningType, McsTable
 from harqlink.harq_analysis import (FastFadingTables, HarqConfig, HarqVariant,
                                     two_round_bound)
-from harqlink.simulator import simulate_packet_drop
+from harqlink.simulator import simulate_packet_drop, simulate_vl
 
 
 def _spec(**kw):
@@ -379,3 +379,27 @@ def test_cli_step_decoding_flag():
     spec = _spec(a_tilde=math.inf)
     lines = run_sweep(spec)
     assert "inf" in lines[1]
+
+
+def test_vl_harq_rows_are_simulate_vl_on_their_streams(monkeypatch):
+    # a vl-harq row is simulate_vl with the default VL lengths, the spec's
+    # seed and the row's point index as its stream, with either worker count
+    spec = _spec(schemes=("vl-harq",), snr_db_start=20.0, snr_db_stop=25.0,
+                 mc_blocks=10 ** 5, seed=5)
+    monkeypatch.setenv("HARQLINK_WORKERS", "1")
+    serial = run_sweep(spec)
+    monkeypatch.setenv("HARQLINK_WORKERS", "2")
+    assert run_sweep(spec) == serial
+    table = McsTable(rates=DEFAULT_RATES, a_tilde=4.0)
+    harq = HarqConfig(CombiningType.IR, 4, HarqVariant.VARIABLE_LENGTH,
+                      lengths_primary=cli.DEFAULT_VL_PRIMARY, lengths_aux=cli.DEFAULT_VL_AUX)
+    cols = CSV_HEADER.split(",")
+    rows = [dict(zip(cols, r.split(","))) for r in serial[1:]]
+    assert [r["snr_avg_db"] for r in rows] == ["20", "25"]
+    for j, fields in enumerate(rows):
+        channel = ChannelConfig(db_to_linear(float(fields["snr_avg_db"])), FadingMode.FAST, 5)
+        res = simulate_vl(harq, table, channel, 10 ** 5, stream_id=j)
+        assert (fields["scheme"], fields["combining"]) == ("vl-harq", "ir")
+        assert fields["throughput"] == f"{res.throughput:.12g}"
+        assert fields["ci_half_width"] == f"{res.ci_half_width:.12g}"
+        assert fields["blocks"] == str(res.blocks)

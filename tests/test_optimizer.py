@@ -177,3 +177,51 @@ def test_fast_optimize_certificate(combining, snr_db, K, a_tilde):
                                                    tables=tables).value
     eta = fast_throughput(res.regions, K, combining, table, avg).value
     assert eta == pytest.approx(res.throughput.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("combining", list(CombiningType), ids=lambda c: c.value)
+@pytest.mark.parametrize("a_tilde", [4.0, math.inf])
+def test_fast_k1_thresholds_are_amc_exact(combining, a_tilde):
+    # with one round the renewal-reward ratio is the AMC throughput, so every
+    # threshold inside the grid that carries probability is the first float
+    # at which the higher rate wins, as amc_thresholds_exact places it
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    amc = np.array(amc_thresholds_exact(table).thresholds)
+    for snr_db in range(0, 31, 3):
+        avg = 10.0 ** (snr_db / 10.0)
+        got = np.array(fast_optimize_regions(1, combining, table, avg).regions.thresholds)
+        inside = (amc > 0.0) & (amc < 30.0 * avg)
+        assert inside.any()
+        assert np.all(np.abs(got - amc)[inside] <= np.spacing(amc[inside])), snr_db
+
+
+@pytest.mark.parametrize("combining", list(CombiningType), ids=lambda c: c.value)
+@pytest.mark.parametrize("K", [2, 4])
+@pytest.mark.parametrize("a_tilde", [4.0, math.inf])
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 25.0])
+def test_moved_thresholds_are_score_crossings(combining, K, a_tilde, snr_db):
+    # a threshold the step moved off its grid node is the first float at
+    # which the upper rate's renewal score R (1 - f_K) - lam (1 + sum_{k<K} f_k),
+    # times the pdf, reaches the lower rate's, at the grid-optimal lam
+    table = McsTable(rates=TABLE.rates, a_tilde=a_tilde)
+    avg = 10.0 ** (snr_db / 10.0)
+    res = fast_optimize_regions(K, combining, table, avg)
+    tables = FastFadingTables(table, K, combining, avg)
+    lam, rates = res.iterations[-1].lam, np.array(table.rates)
+    gamma = np.array(res.regions.thresholds[1:])
+    lower = np.arange(1, table.num_rates)
+
+    def upper_wins(x):
+        scores = []
+        for l in (lower, lower + 1):
+            d = tables.cum_density(l, x)
+            scores.append(rates[l - 1] * (d[0] - d[K]) - lam * d[:K].sum(axis=0))
+        return scores[1] >= scores[0]
+
+    moved = gamma != np.array(res.iterations[-1].gamma[1:])
+    # at 0 dB the IR tables round by about 1e-12 of eta, as much as the step
+    # would gain there, so it is not kept
+    assert moved.any() or (combining is CombiningType.IR and snr_db == 0.0)
+    assert np.all(upper_wins(gamma)[moved])
+    assert not np.any(upper_wins(np.nextafter(gamma, 0.0))[moved])
+    assert res.throughput.value > lam or not moved.any()
