@@ -219,8 +219,10 @@ def test_moved_thresholds_are_score_crossings(combining, K, a_tilde, snr_db):
         return scores[1] >= scores[0]
 
     moved = gamma != np.array(res.iterations[-1].gamma[1:])
-    # at 0 dB the IR tables round by about 1e-12 of eta, as much as the step
-    # would gain there, so it is not kept
+    # IR rows k >= 2 are linear in each grid cell, so the score difference
+    # jumps at every node; at 0 dB the jumps outweigh its trend across a
+    # cell, the upper rate first wins at a node next to the DP's, where the
+    # ratio is lower, and the step is dropped
     assert moved.any() or (combining is CombiningType.IR and snr_db == 0.0)
     assert np.all(upper_wins(gamma)[moved])
     assert not np.any(upper_wins(np.nextafter(gamma, 0.0))[moved])
