@@ -55,6 +55,8 @@ class SweepSpec:
     output: str = "-"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.snr_db_start, self.snr_db_step, self.snr_db_stop))):
+            raise ValueError("--snr-db start, step and stop must be finite")
         if self.snr_db_step <= 0:
             raise ValueError("snr step must be > 0")
         if self.seed < 0:

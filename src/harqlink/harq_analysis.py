@@ -220,16 +220,11 @@ def _work_arrays(**arrays: tuple) -> dict[str, np.ndarray]:
     return _work.arrays
 
 
-def _mi_grid(avg_snr: float, n: int) -> tuple[float, np.ndarray]:
-    """The step dv and the n-point grid x_i = 2**(i dv) - 1, uniform in the
-    MI domain over [0, _SPAN * avg_snr]."""
-    return _mi_grid_into(avg_snr, n, np.empty(n))
-
-
 def _mi_grid_into(avg_snr: float, n: int, out: np.ndarray) -> tuple[float, np.ndarray]:
-    """_mi_grid's step dv and its points x_i for i < out.size, written into
-    out.  IR reads the PER on the grid's 2n-point extension; every point is
-    computed on its own, so the first n are the n-point grid's bits."""
+    """The step dv of the n-point grid x_i = 2**(i dv) - 1, uniform in the MI
+    domain over [0, _SPAN * avg_snr], and x_i for i < out.size, into out.
+    IR reads the PER on the 2n-point extension; each point is computed on
+    its own, so the first n have the same bits whatever out's size."""
     dv = mutual_information(_SPAN * avg_snr) / n
     return dv, _mi_inv_steps(dv, out)
 
@@ -252,7 +247,7 @@ def _reward_cost(rates, m: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 class FastFadingTables:
     """Cumulative f_{k,l} tables over a shared SNR grid.
 
-    The grid is uniform in the MI domain (`_mi_grid`).  cum[k - 2, l - 1] is
+    The grid is uniform in the MI domain (`_mi_grid_into`).  cum[k - 2, l - 1] is
     the integral of pdf * f_{k,l} over [0, x_i) for k >= 2: for RR exactly
     phi_k(0) - phi_k(x_i) (`coding._erlang_phi`), and for IR the trapezoid
     rule over the grid of the correlation f_{k,l}(x_i) = sum_{j<n} g_l[i + j]
@@ -284,12 +279,9 @@ class FastFadingTables:
         self.combining = combining
         self.avg_snr = avg_snr
 
-        n = n_grid
-        if combining is CombiningType.IR:  # the grid, and its extension for the rows
-            dv, x_ext = _mi_grid_into(avg_snr, n, np.empty(2 * n))
-            self.x = x_ext[:n]
-        else:
-            dv, self.x = _mi_grid(avg_snr, n)
+        n = n_grid  # the grid, and for IR its extension for the rows
+        dv, x_ext = _mi_grid_into(avg_snr, n, np.empty(2 * n if combining is CombiningType.IR else n))
+        self.x = x_ext[:n]
         L = table.num_rates
         self.cum = np.empty((K - 1, L, n))
         self.cum[:, :, 0] = 0.0
@@ -312,14 +304,11 @@ class FastFadingTables:
         dx = np.diff(self.x)
         rate_spectrum, density_spectra = _ir_spectra(table, K, dv, x_ext, e, avg_snr, per_row, p)
         g_spectra = [rate_spectrum(l) for l in range(L)]
-        # cum[k, l] of rounds k + 2 and rate l + 1, k outer, from the row
-        # f = irfft(G_{l+1} conj(P_{k+1}), 2n)[:n] dv, clipped to [0, 1]
+        # cum[k, l] of rounds k + 2 and rate l + 1, k outer, from `_ir_row`
         for k, p_spectrum in enumerate(density_spectra):
             np.conjugate(p_spectrum, out=p_conj)
             for l, g in enumerate(g_spectra):
-                np.multiply(g, p_conj, out=product)
-                np.multiply(np.fft.irfft(product, 2 * n)[:n], dv, out=row)
-                np.clip(row, 0.0, 1.0, out=row)
+                _ir_row(np.multiply(g, p_conj, out=product), dv, row)
                 # scipy's cumulative_trapezoid, in its arithmetic:
                 # cumsum(dx * (y[1:] + y[:-1]) / 2.0) with y = pdf * f
                 np.multiply(pdf, row, out=y)
@@ -381,6 +370,16 @@ class FastFadingTables:
         regions [a, b) of rates l (equal-length sequences)."""
         reward, cost = self.reward_cost(l, (b, a))
         return float(np.sum(reward[0] - reward[1])), float(np.sum(cost[0] - cost[1]))
+
+
+def _ir_row(product: np.ndarray, dv: float, row: np.ndarray) -> np.ndarray:
+    """The IR row f_{k,l}(x_i) = dv irfft(G_l conj(P_{k-1}), 2n)[:n], clipped
+    to [0, 1], into row (n points), from the product of the spectra.  The
+    caller forms the product: numpy's complex multiply rounds a * b and b * a
+    apart in the last bit, and g * np.conjugate(p) runs as conj(p) * g."""
+    n = row.size
+    np.multiply(np.fft.irfft(product, 2 * n)[:n], dv, out=row)
+    return np.clip(row, 0.0, 1.0, out=row)
 
 
 def _ir_spectra(table: McsTable, K: int, dv: float, x_ext: np.ndarray, e: np.ndarray,
@@ -459,7 +458,7 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
     Where that bound comes within 1e-9 of 1, a region that starts at 0
     takes the row's value at 0, dv / 2n sum_w h(w) Re(G_l conj(P_{k-1})),
     and where that does too, or the region starts above 0, the mass is
-    summed from the row made and clipped as the table build does.  The
+    summed from the table build's clipped row itself (`_ir_row`).  The
     amc-exact regions of the README sweep (-5 to 30 dB, a_tilde 4 and inf)
     never make the row; at -15 dB rate 1's, which starts at 0, and those
     that start past the grid's end do.
@@ -535,10 +534,8 @@ def _region_masses(labels, lows, highs, K: int, table: McsTable, avg_snr: float)
                 # below that of the FFTs
                 np.multiply(c.view(float), p.view(float), out=product)
                 masses[k, l] = product.sum() * (dv / (2 * n))
-            else:  # the row reaches 1: make it and clip it as the table build does
-                row = product[:n]
-                np.multiply(np.fft.irfft(g * np.conjugate(p), 2 * n)[:n], dv, out=row)
-                np.clip(row, 0.0, 1.0, out=row)
+            else:  # the row reaches 1: the table build's clipped row
+                row = _ir_row(g * np.conjugate(p), dv, product[:n])
                 row *= weights
                 masses[k, l] = row.sum()
         w.fill(0.0)

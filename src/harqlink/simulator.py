@@ -28,8 +28,7 @@ import numpy as np
 from .amc import DecisionRegions, classify
 from .channel import (ChannelConfig, FadingMode, _cursor_after, draw_exponential,
                       make_stream)
-from .coding import (_LN2, CombiningType, McsTable, mutual_information,
-                     mutual_information_inv, per_at)
+from .coding import CombiningType, McsTable, mutual_information, mutual_information_inv, per_at
 from .harq_analysis import HarqConfig, HarqVariant, slow_cascades
 
 _N_BATCHES = 50
@@ -384,21 +383,16 @@ class _Pending:
         self.harq_count, self.first_len, self.snr_sigma = harq_count, first_len, snr_sigma
         self.th = ctx.table.thresholds[ctx.len_to_l[first_len] - 1]
         self.p_now = per_at(snr_sigma, self.th, ctx.table.a_tilde)  # checks snr_sigma >= 0
-        self.mi, self.ratios = math.log1p(snr_sigma) / _LN2, ctx.ratios[first_len]
+        self.mi, self.ratios = mutual_information(snr_sigma), ctx.ratios[first_len]
 
     def options(self, mi_gamma: float, a_tilde: float) -> tuple[list[float], list[float]]:
         """Per ctx.retx_lengths, the aggregate SNR after a round at MI(gamma) =
         mi_gamma and f = PER(aggregate) / PER(now), 0 if the packet cannot
-        fail, by the scalar paths' arithmetic (`_vl_aggregate`, per_at)."""
+        fail, on the scalar paths of `mutual_information_inv` and `per_at`
+        (`_vl_aggregate`'s arithmetic; a fold past 1024 bits is inf)."""
         mi, th, p_now = self.mi, self.th, self.p_now
-        try:
-            aggs = [math.expm1((mi + r * mi_gamma) * _LN2) for r in self.ratios]
-        except OverflowError:
-            aggs = [mutual_information_inv(mi + r * mi_gamma) for r in self.ratios]
-        step = math.isinf(a_tilde)
-        return aggs, [0.0] * len(aggs) if p_now <= 0.0 else [
-            (1.0 if x < th else 0.0 if step else math.exp(-a_tilde * (x / th - 1.0))) / p_now
-            for x in aggs]
+        aggs = [mutual_information_inv(mi + r * mi_gamma) for r in self.ratios]
+        return aggs, [per_at(x, th, a_tilde) / p_now if p_now > 0.0 else 0.0 for x in aggs]
 
 
 def _vl_slots(positions: list[int], lens: list[float], fresh_lens, size: int) -> list:
@@ -437,9 +431,7 @@ def _vl_search(ctx: _VlContext, fails: list[list[float]], positions: list[int], 
     most n + 1 roundings of a completion (n pending packets) cannot close a
     gap above `slack`, but within it two totals can round to one, so each
     count keeps its front."""
-    a_tilde, step = ctx.table.a_tilde, math.isinf(ctx.table.a_tilde)
-    succ = [1.0 - (1.0 if gamma < th else 0.0 if step else math.exp(-a_tilde * (gamma / th - 1.0)))
-            for th in ctx.primary_th]
+    succ = [1.0 - per_at(gamma, th, ctx.table.a_tilde) for th in ctx.primary_th]
     vals, bound, fresh = ctx.fresh_levels(ctx.fresh_counts.dot(succ), size - len(positions))
     npkts, level_at, options = ctx.npkts, ctx.level_at, ctx.retx_options
     slack = (len(fails) + 1) * math.ulp(size)
@@ -565,8 +557,9 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
     path (agreeing with the scalar path unless two multisets' values fall
     within an ulp of the 1e-12 tie margin), and a run of such blocks reads
     its uniforms at a cumsum of their packet counts up to the first NACK.
-    That block and each with pending packets update them; the latter are
-    scheduled by `_vl_search`, whose DP is linear in their count.
+    That block and each with pending packets update them (`_vl_slots`,
+    `_vl_commit`); the latter are scheduled by `_vl_search`, whose DP is
+    linear in their count.
     """
     if channel.fading_mode is not FadingMode.FAST:
         raise ValueError("variable-length HARQ is simulated for fast fading only")
@@ -614,13 +607,12 @@ def simulate_vl(harq: HarqConfig, table: McsTable, channel: ChannelConfig,
                 if stop == n:
                     upos += run
                     break
-                # the NACK block fills the last slots; a fresh fold is MI^{-1}(MI(g)) exactly
-                b, fold = stop, mutual_information_inv(math.log1p(g_list[stop]) / _LN2)
+                b = stop  # the NACK block: its packets take the last slots (`_vl_slots`)
                 oks, upos = (~nack[first[b] - lo:first[b + 1] - lo]).tolist(), upos + first[b + 1] - lo
-                entries = [(size - len(oks) + t, None, length, ok, fold)
-                           for t, (length, ok) in enumerate(zip(ctx.fresh_lengths[choice[b]], oks))]
+                entries = [(x, None, length, ok, None) for (x, _, length), ok in
+                           zip(_vl_slots([], [], ctx.fresh_lengths[choice[b]], size), oks)]
             else:
-                mi_gamma = math.log1p(g_list[b]) / _LN2  # the SNRs are draws, >= 0
+                mi_gamma = mutual_information(g_list[b])
                 opts = [pkt.options(mi_gamma, ctx.table.a_tilde) for pkt in pend]
                 lens, j = _vl_search(ctx, [fails for _, fails in opts], positions, size, g_list[b])
                 fresh_lens = ctx.fresh_lengths[j]

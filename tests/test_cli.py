@@ -335,6 +335,11 @@ def test_cli_bad_input_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--config", str(missing)]) == 2
     assert main(["sweep", "--snr-db", "0:1:5", "--schemes", "amc", "--seed", "-1"]) == 2
     assert main(["sweep", "--snr-db", "0:5:5", "--schemes", "harq-ir", "--k", "0"]) == 2
+    # a non-finite start, step or stop is bad input, not a numerical failure or one point
+    for snr_db in ("0:1:inf", "0:inf:10", "0:nan:10", "nan:1:3"):
+        capsys.readouterr()
+        assert main(["sweep", "--snr-db", snr_db, "--schemes", "amc"]) == 2
+        assert "--snr-db" in capsys.readouterr().err
     # two SNR points of a fast harq-ir sweep, so with two workers the
     # errors come from pool tasks
     base = ["sweep", "--snr-db", "0:5:5", "--schemes", "harq-ir",

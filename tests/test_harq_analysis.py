@@ -672,7 +672,7 @@ def test_region_masses_equal_an_exactly_summed_trapezoid(combining):
     n, K = 1 << 15, 3
     for db in (-5.0, 10.0, 30.0):
         avg = 10.0 ** (db / 10.0)
-        dv, x = harq_analysis._mi_grid(avg, n)
+        dv, x = harq_analysis._mi_grid_into(avg, n, np.empty(n))
         if combining is CombiningType.IR:
             rows = {(k, r): f.copy() for k, r, f in _oracle_ir_rows(TABLE, K, n, dv, x, avg)}
         y_pdf = np.exp(-x / avg) / avg

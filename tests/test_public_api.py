@@ -74,6 +74,28 @@ def test_allowed_names_are_public():
     assert set(ALLOWED) <= set(harqlink.__all__)
 
 
+def test_only_coding_evaluates_the_mi_formulas():
+    # coding is the only place that evaluates log2(1 + gamma) and its
+    # inverse; channel's np.log1p in the inverse-CDF draw is another call
+    banned = {"_LN2", "math.log1p", "math.expm1"}
+    found = []
+    for path in MODULES:
+        if path.stem == "coding":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" if node.module == "math" else a.name
+                         for a in node.names]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno}: {name}" for name in names if name in banned]
+    assert not found, f"MI formula copies outside coding: {found}"
+
+
 def test_tracer_layers_resolve(monkeypatch):
     # perfbench's tracer skips a name the package no longer defines, so its
     # per-layer metrics would silently vanish from the benchmark report

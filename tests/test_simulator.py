@@ -418,6 +418,25 @@ def test_vl_update_semantics():
         mutual_information(1.0), rel=1e-12)
 
 
+def test_vl_fold_past_1024_bits_is_inf():
+    # MI(1e308) is about 1023.2 bits, so every round at gamma = 1e6 (19.9
+    # bits, at least 0.125 of it) folds past 1024 bits and 2**bits - 1 overflows
+    from harqlink.simulator import _Pending, _VlContext
+    ctx = _VlContext(VL_HARQ, VL_TABLE)
+    gamma = 1e6
+    pkt = _Pending(ctx, 1, 1.0, 1e308)
+    aggs, fails = pkt.options(mutual_information(gamma), VL_TABLE.a_tilde)
+    assert aggs == [math.inf] * len(ctx.retx_lengths)
+    assert fails == [0.0] * len(ctx.retx_lengths)
+    buffer = [PacketState(harq_count=1, first_len=1.0, snr_sigma=1e308)]
+    buffer += [PacketState() for _ in range(ctx.buffer_cap - 1)]
+    assert sum(vl_schedule(buffer, gamma, VL_HARQ, VL_TABLE, ctx)) <= 1.0 + 1e-9
+    assign = [0.125] + [0.0] * (ctx.buffer_cap - 1)
+    new, acked, drops = vl_update(buffer, assign, gamma, [False] * ctx.buffer_cap, VL_HARQ)
+    assert (acked, drops) == (0, 0)
+    assert (new[0].harq_count, new[0].snr_sigma) == (2, math.inf)
+
+
 def test_vl_update_validates_alignment():
     with pytest.raises(ValueError):
         vl_update([PacketState()], [1.0, 0.5], 1.0, [True], VL_HARQ)
